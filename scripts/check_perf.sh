@@ -15,7 +15,9 @@ PYTHONPATH=src python -m repro perf --json BENCH_SIM.json --fail-below 0.6 "$@"
 # in-process A/B ratios (both paths timed in the same run, so immune to
 # machine-to-machine throughput noise) must hold their floors: pooled
 # direct dispatch beats the unpooled delivery path, and the bisect
-# routing table beats the linear successor scan.
+# routing table beats the linear successor scan.  The WAL's per-ack cost
+# is the same kind of number with a ceiling: an append + fsync pair on a
+# 10,000-record log must cost under twice what it does on a 100-record one.
 PYTHONPATH=src python - <<'EOF'
 import json
 import sys
@@ -24,7 +26,7 @@ with open("BENCH_SIM.json") as f:
     report = json.load(f)
 by_name = {b["name"]: b for b in report["benchmarks"]}
 failures = []
-for name in ("ring_lookup_10k", "pooled_send_deliver"):
+for name in ("ring_lookup_10k", "pooled_send_deliver", "wal_fsync_per_ack"):
     if name not in by_name:
         failures.append(f"{name} missing from BENCH_SIM.json")
 if "pooled_send_deliver" in by_name:
@@ -35,6 +37,10 @@ if "ring_lookup_10k" in by_name:
     ratio = by_name["ring_lookup_10k"].get("speedup_vs_linear", 0.0)
     if ratio < 1.5:
         failures.append(f"ring_lookup_10k speedup_vs_linear {ratio} < 1.5")
+if "wal_fsync_per_ack" in by_name:
+    ratio = by_name["wal_fsync_per_ack"].get("cost_ratio_10k_vs_100") or float("inf")
+    if ratio > 2.0:
+        failures.append(f"wal_fsync_per_ack cost_ratio_10k_vs_100 {ratio} > 2")
 for line in failures:
     print(f"check_perf: {line}", file=sys.stderr)
 sys.exit(1 if failures else 0)

@@ -321,6 +321,46 @@ def _bench_write_path(n: int) -> Callable[[], int]:
     return run
 
 
+def _bench_wal_fsync_per_ack(n: int) -> Callable[[], int]:
+    """Per-ack WAL cost against log length: ``n`` append + fsync pairs
+    on a region already retaining 100 synced records and on one
+    retaining 10,000, in one process.  An acceptor acks once per
+    Accept, so the pair must cost the same on both; the reported value
+    is the long-log rate and the cost ratio lands in ``extra``, where
+    ``scripts/check_perf.sh`` holds it under 2 whatever the host's speed.
+    """
+
+    def one(retained: int) -> float:
+        from repro.storage.disk import NodeDisk
+
+        region = NodeDisk("bench").storage_for("g")
+        ballot = (1, "bench")
+        for slot in range(retained):
+            region.append_accept(slot, ballot, None)
+        region.mark_synced(region.current_seq())
+        t0 = time.perf_counter()
+        for slot in range(retained, retained + n):
+            region.append_accept(slot, ballot, None)
+            region.mark_synced(region.current_seq())
+        return time.perf_counter() - t0
+
+    def run() -> int:
+        # Each side is a few milliseconds, so one collector pause would
+        # swing the ratio: best of three, sides alternated.
+        trials = [(one(100), one(10_000)) for _ in range(3)]
+        short_wall = min(short for short, _ in trials)
+        long_wall = min(long for _, long in trials)
+        run.self_timed = (n, long_wall)  # type: ignore[attr-defined]
+        run.extra = {  # type: ignore[attr-defined]
+            "us_per_pair_retaining_100": round(short_wall / n * 1e6, 3),
+            "us_per_pair_retaining_10k": round(long_wall / n * 1e6, 3),
+            "cost_ratio_10k_vs_100": round(long_wall / short_wall, 2) if short_wall else None,
+        }
+        return n
+
+    return run
+
+
 # ---------------------------------------------------------------------------
 # Runner
 # ---------------------------------------------------------------------------
@@ -347,6 +387,7 @@ def run_microbenchmarks(quick: bool = False, repeat: int = 3) -> dict:
         ("ring_lookup_10k", "lookups_per_s", _bench_ring_lookup(n_lookups, n_lookup_groups)),
         ("e2e_scatter_ops", "events_per_s", _bench_e2e_ops(e2e_duration)),
         ("write_path_saturation", "events_per_s", _bench_write_path(n_writes)),
+        ("wal_fsync_per_ack", "pairs_per_s", _bench_wal_fsync_per_ack(2_000)),
     ]
 
     benchmarks = []

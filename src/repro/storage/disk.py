@@ -96,6 +96,12 @@ class ReplicaStorage:
         self.records: list[WalRecord] = []
         self._next_seq = 1
         self.synced_seq = 0
+        # ``records`` is in seq order and is only appended to, filtered
+        # by save_snapshot or cut at the durable boundary, so the
+        # durable records (seq <= synced_seq) are always the prefix
+        # records[:_durable].  Every operation below works from that
+        # boundary and costs what it covers, not the length of the log.
+        self._durable = 0
         # (state, last_included_slot, members) or None.  Snapshot writes
         # are modelled as atomic (write-new + rename); a crash never
         # leaves a half-written snapshot.
@@ -169,25 +175,32 @@ class ReplicaStorage:
         return not self.disk.io_error
 
     def mark_synced(self, seq: int) -> None:
-        """An fsync covering records up to ``seq`` completed."""
+        """An fsync covering records up to ``seq`` completed.
+
+        ``seq`` is a ``current_seq()`` read at or before this call; a
+        stale one (an older barrier completing late) covers nothing.
+        """
         self.fsyncs += 1
-        tracer = self.disk.tracer
-        if seq <= self.synced_seq:
-            if tracer is not None:
-                tracer.metrics.inc("wal.fsyncs")
-                tracer.metrics.observe("fsync.batch_size", 0)
-            return
-        covered = 0
-        for record in self.records:
-            if self.synced_seq < record.seq <= seq:
-                covered += 1
+        records = self.records
+        start = end = self._durable
+        if seq > self.synced_seq:
+            total = len(records)
+            promise = self.durable_promise
+            while end < total:
+                record = records[end]
+                if record.seq > seq:
+                    break
                 if record.kind == REC_PROMISE:
-                    if record.ballot is not None and record.ballot > self.durable_promise:
-                        self.durable_promise = record.ballot
-        self.synced_seq = seq
+                    if record.ballot is not None and record.ballot > promise:
+                        promise = record.ballot
+                end += 1
+            self.durable_promise = promise
+            self._durable = end
+            self.synced_seq = seq
+        tracer = self.disk.tracer
         if tracer is not None:
             tracer.metrics.inc("wal.fsyncs")
-            tracer.metrics.observe("fsync.batch_size", covered)
+            tracer.metrics.observe("fsync.batch_size", end - start)
 
     # ------------------------------------------------------------------
     # Ledger (ack-time bookkeeping for the durability invariant)
@@ -212,12 +225,15 @@ class ReplicaStorage:
         # Promise records are folded into durable_promise at fsync time;
         # keep only slot records the snapshot does not cover, plus the
         # still-volatile suffix (which a crash would lose anyway).
-        self.records = [
+        durable = self._durable
+        kept = [
             r
-            for r in self.records
-            if r.seq > self.synced_seq
-            or (r.kind != REC_PROMISE and r.slot > last_included)
+            for r in self.records[:durable]
+            if r.kind != REC_PROMISE and r.slot > last_included
         ]
+        self._durable = len(kept)
+        kept += self.records[durable:]
+        self.records = kept
         for slot in [s for s in self.acked_accepts if s <= last_included]:
             del self.acked_accepts[slot]
 
@@ -226,21 +242,21 @@ class ReplicaStorage:
     # ------------------------------------------------------------------
     def power_failure(self) -> None:
         """Drop the un-fsynced WAL suffix (the node lost power)."""
-        if self.synced_seq < self.current_seq():
-            self.records = [r for r in self.records if r.seq <= self.synced_seq]
+        del self.records[self._durable :]
 
     def corrupt_tail(self, count: int) -> None:
         """Mark the last ``count`` durable records checksum-corrupt."""
-        durable = [r for r in self.records if r.seq <= self.synced_seq]
+        durable = self._durable
         if not durable or count <= 0:
             return
-        start = durable[max(0, len(durable) - count)].seq
+        start = self.records[max(0, durable - count)].seq
         if self.corrupt_from is None or start < self.corrupt_from:
             self.corrupt_from = start
 
     def wipe(self) -> None:
         """Lose everything on disk; the replica must rejoin with amnesia."""
         self.records = []
+        self._durable = 0
         self.synced_seq = self.current_seq()
         self.snapshot = None
         self.durable_promise = BALLOT_ZERO
@@ -268,7 +284,7 @@ class ReplicaStorage:
         if self.amnesiac:
             self.last_recovery = {"mode": "amnesia", "replayed": 0, "snapshot": False}
             return None, []
-        replay = [r for r in self.records if r.seq <= self.synced_seq]
+        replay = self.records[: self._durable]
         self.replayed_total += len(replay)
         self.max_replayed = max(self.max_replayed, len(replay))
         if self.snapshot is not None:

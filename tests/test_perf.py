@@ -24,6 +24,7 @@ BENCH_NAMES = {
     "ring_lookup_10k",
     "e2e_scatter_ops",
     "write_path_saturation",
+    "wal_fsync_per_ack",
 }
 
 
@@ -40,7 +41,9 @@ class TestMicrobenchmarks:
             assert bench["value"] > 0
             assert bench["wall_s"] > 0
             assert bench["units_completed"] > 0
-            assert bench["metric"] in ("events_per_s", "msgs_per_s", "lookups_per_s")
+            assert bench["metric"] in (
+                "events_per_s", "msgs_per_s", "lookups_per_s", "pairs_per_s"
+            )
 
     def test_e2e_reports_ops(self, quick_report):
         e2e = next(b for b in quick_report["benchmarks"] if b["name"] == "e2e_scatter_ops")
@@ -54,6 +57,9 @@ class TestMicrobenchmarks:
         assert by_name["pooled_send_deliver"]["unpooled_msgs_per_s"] > 0
         assert by_name["ring_lookup_10k"]["speedup_vs_linear"] > 1.5
         assert by_name["ring_lookup_10k"]["groups"] > 0
+        # Per-ack WAL cost is flat in log length; a barrier that scans
+        # the whole log measures 9.8 here.
+        assert by_name["wal_fsync_per_ack"]["cost_ratio_10k_vs_100"] < 3.0
 
     def test_render_report(self, quick_report):
         text = render_report(quick_report)

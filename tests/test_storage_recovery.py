@@ -11,6 +11,8 @@ builds that never had it (same pattern as tests/test_obs.py).
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hyp
 
 from repro.consensus.commands import Command
 from repro.consensus.harness import PaxosHost, build_cluster, current_leader
@@ -26,8 +28,10 @@ from repro.storage.disk import (
     BALLOT_ZERO,
     NodeDisk,
     REC_ACCEPT,
+    REC_CHOSEN,
     REC_PROMISE,
     StorageConfig,
+    WalRecord,
 )
 from repro.workloads import UniformKeys
 from repro.workloads.driver import ClosedLoopWorkload
@@ -125,6 +129,138 @@ class TestWal:
         assert st.recoveries == 2
         assert st.replayed_total == 10
         assert st.max_replayed == 5
+
+
+# ---------------------------------------------------------------------------
+# Model-based: the indexed region against a full-scan reference
+# ---------------------------------------------------------------------------
+class _MetricLog:
+    """Tracer stand-in: every counter bump and observation, in order."""
+
+    def __init__(self):
+        self.metrics = self
+        self.log = []
+
+    def inc(self, name, n=1):
+        self.log.append((name, n))
+
+    def observe(self, name, value):
+        self.log.append((name, value))
+
+
+class _FullScanRegion:
+    """Reference model: every operation scans the whole log for the
+    records it concerns, keyed on ``seq <= synced_seq`` alone."""
+
+    def __init__(self, metrics):
+        self.records, self.next_seq, self.synced_seq = [], 1, 0
+        self.durable_promise, self.corrupt_from = BALLOT_ZERO, None
+        self.snapshot, self.amnesiac, self.last_recovery = None, False, {}
+        self.metrics = metrics
+
+    def _append(self, kind, slot, ballot, value):
+        self.records.append(WalRecord(self.next_seq, kind, slot, ballot, value))
+        self.next_seq += 1
+        self.metrics.inc("wal.appends")
+        return True
+
+    def append_promise(self, ballot):
+        return self._append(REC_PROMISE, -1, ballot, None)
+
+    def append_accept(self, slot, ballot, command):
+        return self._append(REC_ACCEPT, slot, ballot, command)
+
+    def append_chosen(self, slot, command):
+        self._append(REC_CHOSEN, slot, None, command)
+
+    def mark_synced(self, seq):
+        covered = [r for r in self.records if self.synced_seq < r.seq <= seq]
+        promises = [r.ballot for r in covered if r.kind == REC_PROMISE]
+        self.durable_promise = max([self.durable_promise, *promises])
+        self.synced_seq = max(self.synced_seq, seq)
+        self.metrics.inc("wal.fsyncs")
+        self.metrics.observe("fsync.batch_size", len(covered))
+
+    def save_snapshot(self, state, last_included, members):
+        self.snapshot = (state, last_included, members)
+        self.records = [
+            r
+            for r in self.records
+            if r.seq > self.synced_seq or (r.kind != REC_PROMISE and r.slot > last_included)
+        ]
+
+    def durable(self):
+        return [r for r in self.records if r.seq <= self.synced_seq]
+
+    def power_failure(self):
+        self.records = self.durable()
+
+    def corrupt_tail(self, count):
+        durable = self.durable()
+        if durable and count > 0:
+            start = durable[max(0, len(durable) - count)].seq
+            self.corrupt_from = min(start, self.corrupt_from or start)
+
+    def wipe(self):
+        self.records, self.synced_seq = [], self.next_seq - 1
+        self.snapshot, self.durable_promise = None, BALLOT_ZERO
+        self.corrupt_from, self.amnesiac = None, True
+
+    def recovery_image(self):
+        if self.corrupt_from is not None:
+            self.wipe()
+        if self.amnesiac:
+            self.last_recovery = {"mode": "amnesia", "replayed": 0, "snapshot": False}
+            return None, []
+        replay, snap = self.durable(), self.snapshot
+        self.last_recovery = {"mode": "replay", "replayed": len(replay), "snapshot": snap is not None}
+        return snap, replay
+
+
+_ballots = hyp.tuples(hyp.integers(1, 6), hyp.sampled_from(["n0", "n1", "n2"]))
+_slots = hyp.integers(0, 12)
+_commands = hyp.sampled_from(["a", "b", "c"])
+# (method, *args), applied to the region and to the reference alike.
+_wal_ops = hyp.lists(
+    hyp.one_of(
+        hyp.tuples(hyp.just("append_promise"), _ballots),
+        hyp.tuples(hyp.just("append_accept"), _slots, _ballots, _commands),
+        hyp.tuples(hyp.just("append_chosen"), _slots, _commands),
+        # The one relative argument: a barrier at current_seq minus
+        # 0..5, so mostly the tail and sometimes a stale or out-of-order
+        # seq (a disk_slow fault clearing between two per-ack timers
+        # completes the later barrier first).
+        hyp.tuples(hyp.just("mark_synced"), hyp.integers(0, 5)),
+        hyp.tuples(hyp.just("save_snapshot"), _commands, _slots, hyp.just(("n0", "n1"))),
+        hyp.tuples(hyp.just("power_failure")),
+        hyp.tuples(hyp.just("corrupt_tail"), hyp.integers(0, 4)),
+        hyp.tuples(hyp.just("wipe")),
+        hyp.tuples(hyp.just("recovery_image")),
+    ),
+    max_size=60,
+)
+
+
+class TestIndexedWalMatchesFullScan:
+    @settings(max_examples=300, deadline=None)
+    @given(ops=_wal_ops)
+    def test_every_step_matches_reference(self, ops):
+        real_metrics, ref_metrics = _MetricLog(), _MetricLog()
+        real = NodeDisk("n0", StorageConfig(), tracer=real_metrics).storage_for("g")
+        ref = _FullScanRegion(ref_metrics)
+        for op, *args in ops:
+            if op == "mark_synced":
+                args = [max(0, real.current_seq() - args[0])]
+            assert getattr(real, op)(*args) == getattr(ref, op)(*args)
+            assert real.records == ref.records
+            assert real.synced_seq == ref.synced_seq
+            assert real.durable_promise == ref.durable_promise
+            assert real.corrupt_from == ref.corrupt_from
+            assert real.snapshot == ref.snapshot
+            assert real.amnesiac == ref.amnesiac
+            assert real.last_recovery == ref.last_recovery
+        assert real_metrics.log == ref_metrics.log
+        assert real.fsyncs == ref_metrics.log.count(("wal.fsyncs", 1))
 
 
 # ---------------------------------------------------------------------------
