@@ -18,6 +18,8 @@ PYTHONPATH=src python -m repro perf --json BENCH_SIM.json --fail-below 0.6 "$@"
 # routing table beats the linear successor scan.  The WAL's per-ack cost
 # is the same kind of number with a ceiling: an append + fsync pair on a
 # 10,000-record log must cost under twice what it does on a 100-record one.
+# And one exact count, the same on every host: the leader votes locally,
+# so a chosen slot costs 2*(n-1) Accept-family messages, 4 at n=3, 8 at n=5.
 PYTHONPATH=src python - <<'EOF'
 import json
 import sys
@@ -26,7 +28,9 @@ with open("BENCH_SIM.json") as f:
     report = json.load(f)
 by_name = {b["name"]: b for b in report["benchmarks"]}
 failures = []
-for name in ("ring_lookup_10k", "pooled_send_deliver", "wal_fsync_per_ack"):
+for name in (
+    "ring_lookup_10k", "pooled_send_deliver", "wal_fsync_per_ack", "accept_msgs_per_slot"
+):
     if name not in by_name:
         failures.append(f"{name} missing from BENCH_SIM.json")
 if "pooled_send_deliver" in by_name:
@@ -41,6 +45,11 @@ if "wal_fsync_per_ack" in by_name:
     ratio = by_name["wal_fsync_per_ack"].get("cost_ratio_10k_vs_100") or float("inf")
     if ratio > 2.0:
         failures.append(f"wal_fsync_per_ack cost_ratio_10k_vs_100 {ratio} > 2")
+if "accept_msgs_per_slot" in by_name:
+    for key, want in (("msgs_per_slot_n3", 4.0), ("msgs_per_slot_n5", 8.0)):
+        got = by_name["accept_msgs_per_slot"].get(key)
+        if got != want:
+            failures.append(f"accept_msgs_per_slot {key} {got} != {want}")
 for line in failures:
     print(f"check_perf: {line}", file=sys.stderr)
 sys.exit(1 if failures else 0)

@@ -177,3 +177,21 @@ def current_leader(hosts: list[PaxosHost]) -> PaxosHost | None:
     if len(leaders) == 1:
         return leaders[0]
     return None
+
+
+def record_sends(hosts: list[PaxosHost]) -> list[tuple[str, str, str]]:
+    """Record ``(src, dst, message type name)`` of every consensus send
+    from now on, in the returned list (the count-based tests and the
+    ``accept_msgs_per_slot`` perf row share it)."""
+    sent: list[tuple[str, str, str]] = []
+    for host in hosts:
+        transport = host.replica.transport
+
+        def recording(
+            dst: str, msg: Any, _src: str = host.node_id, _send: Any = transport.send
+        ) -> None:
+            sent.append((_src, dst, type(msg).__name__))
+            _send(dst, msg)
+
+        transport.send = recording  # type: ignore[method-assign]
+    return sent

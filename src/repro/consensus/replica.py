@@ -7,8 +7,10 @@ machine.  The protocol follows the classic Multi-Paxos structure:
   election timeout run phase 1 (Prepare) over all slots above their
   commit index.  Ballot numbers are (round, replica_id) pairs.
 - **Replication**: the leader assigns commands to slots and runs phase 2
-  (Accept/Accepted); a slot is chosen once a majority of the current
-  configuration accepts it.  Chosen slots are applied in order.
+  (Accept/Accepted) with its peers while taking the acceptor step
+  itself, locally and in parallel; a slot is chosen once a majority of
+  the current configuration — the leader's own durable record plus
+  peer acks — accepts it.  Chosen slots are applied in order.
 - **Leases**: the leader renews a read lease with each heartbeat round
   that a majority acknowledges; while the lease is live (and the leader
   has committed a no-op in its own ballot — the read barrier) reads are
@@ -40,7 +42,9 @@ up to everything the leader had committed.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable
 
 from repro.consensus.commands import CMD_BATCH, CMD_CONFIG, Command, ConfigChange
@@ -164,6 +168,9 @@ class _PendingSlot:
     # with follower reads on: write-bearing slots are chosen under the
     # expanded quorum (majority plus every live read grantee).
     write: bool = False
+    # The leader journaled its own accept since the last retry tick, so
+    # the covering fsync may still be pending: that tick skips its vote.
+    own_wal: bool = False
 
 
 # Shared empty key set for write classifiers and conflict windows.
@@ -238,7 +245,7 @@ class PaxosReplica:
         self._max_round_seen = 0
         self._pending: dict[int, _PendingSlot] = {}
         self._proposal_futures: dict[int, Future] = {}
-        self._queue: list[tuple[Command, Future]] = []
+        self._queue: deque[tuple[Command, Future]] = deque()
         self._next_slot = 0
         self._barrier_slot: int | None = None
         self._read_barrier_slot: int | None = None
@@ -275,7 +282,7 @@ class PaxosReplica:
         self._campaigning = False
         self._campaign_promises: dict[str, Promise] = {}
         self._campaign_from_slot = 0
-        self._backlog: list[tuple[int, Command]] = []
+        self._backlog: deque[tuple[int, Command]] = deque()
 
         self._start_timers(initial_leader == replica_id)
 
@@ -317,10 +324,8 @@ class PaxosReplica:
         ``acceptor-durability`` invariant exists to catch."""
         return self.storage.append_promise(ballot)
 
-    def _fsync_then_send(
-        self, dst: str, msg: Any, kind: str, ballot: Ballot, slot: int, label: str
-    ) -> None:
-        """Ack only once the fsync covering the journaled record completes.
+    def _fsync_then_promise(self, dst: str, msg: Promise) -> None:
+        """Ack only once the fsync covering the journaled promise completes.
 
         The timer is crash-guarded, so a crash inside the window means
         no ack was sent — consistent with the un-fsynced record being
@@ -329,10 +334,7 @@ class PaxosReplica:
         storage = self.storage
 
         def on_durable() -> None:
-            if kind == REC_PROMISE:
-                storage.note_acked_promise(ballot)
-            else:
-                storage.note_acked_accept(slot, ballot, label)
+            storage.note_acked_promise(msg.ballot)
             self.transport.send(dst, msg)
 
         self._after_fsync(on_durable)
@@ -467,9 +469,8 @@ class PaxosReplica:
         kind = type(msg)
         if kind in (Heartbeat, Accept, AcceptBatch):
             self._note_ballot(msg.ballot)
-            if src != self.replica_id:
-                self.leader_hint = src
-                self.last_leader_contact = self.transport.now
+            self.leader_hint = src
+            self.last_leader_contact = self.transport.now
             target = self._amnesia_target
             if target is None or msg.commit_index > target:
                 self._amnesia_target = msg.commit_index
@@ -523,7 +524,7 @@ class PaxosReplica:
         self._lease_until = -1.0
         self._hb_acks.clear()
         self._retry_delay = None
-        self._backlog = []
+        self._backlog.clear()
         for future in self._proposal_futures.values():
             future.set_exception(fail_with)
         self._proposal_futures.clear()
@@ -755,10 +756,7 @@ class PaxosReplica:
             or self._barrier_slot is not None
         ):
             return False
-        msg = TransferLease(ballot=self.ballot, target=target)
-        for member in self.members:
-            if member != self.replica_id:
-                self.transport.send(member, msg)
+        self._send_peers(TransferLease(ballot=self.ballot, target=target))
         self.leader_hint = target
         self._reset_leader_state(fail_with=NotLeader(target))
         self.last_leader_contact = self.transport.now
@@ -878,9 +876,9 @@ class PaxosReplica:
         if self.storage is not None:
             if not self._persist_promise(msg.ballot):
                 return  # disk IO error: cannot promise durably, stay silent
-            self._fsync_then_send(src, reply, REC_PROMISE, msg.ballot, -1, "")
+            self._fsync_then_promise(src, reply)
             return
-        self._send_durable(src, reply)
+        self._after_disk_write(self.transport.send, src, reply)
 
     def _on_promise(self, src: str, msg: Promise) -> None:
         if not self._campaigning or msg.ballot != self.ballot:
@@ -907,6 +905,11 @@ class PaxosReplica:
         return len(self.members) // 2 + 1
 
     def _become_leader(self) -> None:
+        if self.promised > self.ballot:
+            # Our own acceptor promised a higher ballot mid-campaign: it
+            # could never vote for what we propose.  Leave it to them.
+            self._end_election_span("preempted")
+            return
         # If any promiser committed beyond us, we are missing chosen
         # entries (possibly compacted away elsewhere): leading now could
         # re-propose no-ops over chosen slots.  Learn first, lead later.
@@ -953,7 +956,7 @@ class PaxosReplica:
                 continue
             command = best[slot][1] if slot in best else Command.noop()
             backlog.append((slot, command))
-        self._backlog = backlog
+        self._backlog = deque(backlog)
         self._next_slot = max_slot + 1
         self._drain_backlog()
         if self._barrier_slot is None and not self._backlog:
@@ -981,7 +984,7 @@ class PaxosReplica:
     def _drain_backlog(self) -> None:
         """Re-propose recovered entries in order, stalling at config changes."""
         while self._backlog and self._barrier_slot is None:
-            slot, command = self._backlog.pop(0)
+            slot, command = self._backlog.popleft()
             if command.kind == CMD_CONFIG:
                 self._barrier_slot = slot
             self._send_accepts(slot, command)
@@ -998,7 +1001,7 @@ class PaxosReplica:
             and not self._backlog
             and not self._pipe_full()
         ):
-            command, future = self._queue.pop(0)
+            command, future = self._queue.popleft()
             self._issue(command, future)
 
     def _send_accepts(self, slot: int, command: Command) -> None:
@@ -1021,25 +1024,27 @@ class PaxosReplica:
                 self._accept_flush_pending = True
                 self.transport.set_timer(0.0, self._flush_accept_outbox)
             return
-        msg = Accept(
-            ballot=self.ballot, slot=slot, command=command, commit_index=self.log.commit_index
-        )
-        for member in self.members:
-            self.transport.send(member, msg)
+        run = [(slot, command)]
+        self._send_peers(self._pack_run(run))
+        self._accept_own(run)
 
     def _flush_accept_outbox(self) -> None:
         self._accept_flush_pending = False
         outbox, self._accept_outbox = self._accept_outbox, []
-        if not self.is_leader or self.retired:
-            return
         live = sorted(
             (slot, self._pending[slot].command)
             for slot in set(outbox)
             if slot in self._pending
         )
         for run in _contiguous_runs(live):
-            msg = self._pack_run(run)
-            for member in self.members:
+            if not self.is_leader or self.retired:
+                return  # also mid-loop: our own vote can choose a slot that retires us
+            self._send_peers(self._pack_run(run))
+            self._accept_own(run)
+
+    def _send_peers(self, msg: Any) -> None:
+        for member in self.members:
+            if member != self.replica_id:
                 self.transport.send(member, msg)
 
     def _pack_run(self, run: list[tuple[int, Command]]) -> Any:
@@ -1059,100 +1064,106 @@ class PaxosReplica:
             commit_index=self.log.commit_index,
         )
 
+    def _accept_own(self, run: list[tuple[int, Command]]) -> None:
+        """The leader's own vote: the acceptor step taken locally, with no
+        message — journaled in parallel with the broadcast to the peers
+        and counted from the durability callback, under the ballot and
+        membership of that moment (``_count_acks``)."""
+        ballot = self.ballot
+        if ballot < self.promised:
+            return  # the acceptor rule; a sitting leader never gets here
+        self.promised = ballot
+        ack = partial(self._count_acks, self.replica_id, ballot)
+        for slot in self._accept(ballot, run, ack):
+            pending = self._pending.get(slot)
+            if pending is not None:
+                pending.own_wal = True
+
+    def _accept(
+        self,
+        ballot: Ballot,
+        run: list[tuple[int, Command]],
+        ack: Callable[[tuple[int, ...]], None],
+    ) -> list[int]:
+        """The acceptor step for a run of slots, remote or the leader's own.
+
+        Records and journals every slot, then calls ``ack(slots)`` from a
+        single durability barrier: after the fsync covering the records
+        (when the ledger also notes them), or after the stand-in disk
+        write.  Slots already compacted here are chosen and applied, so
+        they are acked without a record; slots whose append failed (IO
+        error) are left out, and the leader's retry tick covers them.
+        Returns the slots whose ack now waits on the WAL.
+        """
+        storage = self.storage
+        compacted: list[int] = []
+        journaled: list[tuple[int, Command]] = []
+        for slot, command in run:
+            if slot < self.log.first_slot:
+                compacted.append(slot)
+                continue
+            entry = self.log.entry(slot)
+            if not entry.chosen:
+                entry.accepted_ballot = ballot
+                entry.accepted_value = command
+            if storage is None or storage.append_accept(slot, ballot, command):
+                journaled.append((slot, command))
+        waiting = [slot for slot, _command in journaled]
+        slots = tuple(compacted + waiting)
+        if not journaled:
+            if compacted:
+                ack(slots)
+            return []
+        if storage is None:
+            self._after_disk_write(ack, slots)
+            return []
+
+        def on_durable() -> None:
+            for slot, command in journaled:
+                storage.note_acked_accept(slot, ballot, command_label(command))
+            ack(slots)
+
+        self._after_fsync(on_durable)
+        return waiting
+
     def _on_accept(self, src: str, msg: Accept) -> None:
-        self._note_ballot(msg.ballot)
-        if msg.ballot < self.promised:
-            self.transport.send(src, AcceptNack(msg.ballot, msg.slot, self.promised))
-            return
-        if msg.ballot > self.promised or src != self.replica_id:
-            self._observe_other_leader(src, msg.ballot)
-        self.promised = msg.ballot
-        if msg.slot < self.log.first_slot:
-            # Late retransmission for a slot we already compacted: it is
-            # chosen and applied here, so just acknowledge.
-            self.transport.send(src, Accepted(msg.ballot, msg.slot))
-            self._learn_commit_index(src, msg.ballot, msg.commit_index)
-            return
-        entry = self.log.entry(msg.slot)
-        if not entry.chosen:
-            entry.accepted_ballot = msg.ballot
-            entry.accepted_value = msg.command
-        if self.storage is not None:
-            if self.storage.append_accept(msg.slot, msg.ballot, msg.command):
-                self._fsync_then_send(
-                    src,
-                    Accepted(msg.ballot, msg.slot),
-                    REC_ACCEPT,
-                    msg.ballot,
-                    msg.slot,
-                    command_label(msg.command),
-                )
-            # On append failure (IO error) no ack: the leader retries.
-        else:
-            self._send_durable(src, Accepted(msg.ballot, msg.slot))
-        self._learn_commit_index(src, msg.ballot, msg.commit_index)
+        self._on_accept_run(
+            src, msg, [(msg.slot, msg.command)], lambda slots: Accepted(msg.ballot, msg.slot)
+        )
 
     def _on_accept_batch(self, src: str, msg: AcceptBatch) -> None:
         """Unpack a coalesced Accept run: journal every covered slot, then
         answer with one AcceptedBatch from a single durability barrier."""
-        self._note_ballot(msg.ballot)
-        if msg.ballot < self.promised:
-            self.transport.send(
-                src, AcceptNack(msg.ballot, msg.start_slot, self.promised)
-            )
+        run = list(enumerate(msg.commands, msg.start_slot))
+        self._on_accept_run(src, msg, run, lambda slots: AcceptedBatch(msg.ballot, slots))
+
+    def _on_accept_run(
+        self,
+        src: str,
+        msg: Accept | AcceptBatch,
+        run: list[tuple[int, Command]],
+        reply: Callable[[tuple[int, ...]], Any],
+    ) -> None:
+        ballot = msg.ballot
+        self._note_ballot(ballot)
+        if ballot < self.promised:
+            self.transport.send(src, AcceptNack(ballot, run[0][0], self.promised))
             return
-        if msg.ballot > self.promised or src != self.replica_id:
-            self._observe_other_leader(src, msg.ballot)
-        self.promised = msg.ballot
-        compacted: list[int] = []
-        journaled: list[tuple[int, str]] = []
-        for offset, command in enumerate(msg.commands):
-            slot = msg.start_slot + offset
-            if slot < self.log.first_slot:
-                compacted.append(slot)  # already chosen and applied here
-                continue
-            entry = self.log.entry(slot)
-            if not entry.chosen:
-                entry.accepted_ballot = msg.ballot
-                entry.accepted_value = command
-            if self.storage is not None:
-                if self.storage.append_accept(slot, msg.ballot, command):
-                    journaled.append((slot, command_label(command)))
-                # On append failure (IO error) the slot is omitted from the
-                # ack; the leader's retry tick covers it.
-            else:
-                journaled.append((slot, command_label(command)))
-        if journaled:
-            acked = tuple(compacted) + tuple(slot for slot, _label in journaled)
-            reply = AcceptedBatch(ballot=msg.ballot, slots=acked)
-            if self.storage is not None:
-                storage = self.storage
-                ballot = msg.ballot
+        self._observe_other_leader(src, ballot)
+        self.promised = ballot
+        self._accept(ballot, run, lambda slots: self.transport.send(src, reply(slots)))
+        self._learn_commit_index(src, ballot, msg.commit_index)
 
-                def on_durable() -> None:
-                    for slot, label in journaled:
-                        storage.note_acked_accept(slot, ballot, label)
-                    self.transport.send(src, reply)
-
-                self._after_fsync(on_durable)
-            else:
-                self._send_durable(src, reply)
-        elif compacted:
-            self.transport.send(src, AcceptedBatch(msg.ballot, tuple(compacted)))
-        self._learn_commit_index(src, msg.ballot, msg.commit_index)
-
-    def _send_durable(self, dst: str, msg: Any) -> None:
-        """Send after the modelled durable write completes."""
+    def _after_disk_write(self, fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn`` after the modelled durable write completes."""
         disk = self.config.disk_write_latency
         if disk <= 0:
-            self.transport.send(dst, msg)
+            fn(*args)
         else:
-            self.transport.set_timer(disk, self.transport.send, dst, msg)
+            self.transport.set_timer(disk, fn, *args)
 
     def _observe_other_leader(self, src: str, ballot: Ballot) -> None:
         """A higher-or-equal ballot from another node means we follow it."""
-        if src == self.replica_id:
-            return
         if self.is_leader and ballot > self.ballot:
             self._reset_leader_state(fail_with=ProposalLost(f"superseded by {src}"))
         if ballot >= self.promised:
@@ -1160,19 +1171,20 @@ class PaxosReplica:
             self.last_leader_contact = self.transport.now
 
     def _on_accepted(self, src: str, msg: Accepted) -> None:
-        if not self.is_leader or msg.ballot != self.ballot:
-            return
-        self.member_last_ack[src] = self.transport.now
-        self._slot_accepted(src, msg.slot)
+        self._count_acks(src, msg.ballot, (msg.slot,))
 
     def _on_accepted_batch(self, src: str, msg: AcceptedBatch) -> None:
-        if not self.is_leader or msg.ballot != self.ballot:
+        self._count_acks(src, msg.ballot, msg.slots)
+
+    def _count_acks(self, src: str, ballot: Ballot, slots: tuple[int, ...]) -> None:
+        """Count ``src``'s durable accepts — a peer's reply or our own vote."""
+        if not self.is_leader or ballot != self.ballot:
             return
         self.member_last_ack[src] = self.transport.now
-        for slot in msg.slots:
+        for slot in slots:
             self._slot_accepted(src, slot)
             if not self.is_leader:
-                return  # a config change in the batch may have removed us
+                return  # a config change among them may have removed us
 
     def _slot_accepted(self, src: str, slot: int) -> None:
         pending = self._pending.get(slot)
@@ -1264,10 +1276,9 @@ class PaxosReplica:
         if self.config.follower_reads:
             self._send_granting_heartbeats(now)
         else:
-            hb = Heartbeat(ballot=self.ballot, commit_index=self.log.commit_index, send_time=now)
-            for member in self.members:
-                if member != self.replica_id:
-                    self.transport.send(member, hb)
+            self._send_peers(
+                Heartbeat(ballot=self.ballot, commit_index=self.log.commit_index, send_time=now)
+            )
         if len(self.members) == 1:
             self._lease_until = now + self.config.lease_duration
         if self.tracer is not None:
@@ -1416,29 +1427,26 @@ class PaxosReplica:
         if self.tracer is not None and self._pending:
             self.tracer.metrics.inc("paxos.retransmissions", len(self._pending))
             self.tracer.metrics.inc("paxos.accept_rounds", len(self._pending))
-        if self.config.accept_coalescing:
-            # Pack each peer's unacked slots into contiguous-run batches.
-            per_member: dict[str, list[tuple[int, Command]]] = {}
-            for slot, pending in sorted(self._pending.items()):
-                for member in self.members:
-                    if member not in pending.acks:
-                        per_member.setdefault(member, []).append(
-                            (slot, pending.command)
-                        )
-            for member, need in per_member.items():
-                for run in _contiguous_runs(need):
-                    self.transport.send(member, self._pack_run(run))
-        else:
-            for slot, pending in sorted(self._pending.items()):
-                msg = Accept(
-                    ballot=self.ballot,
-                    slot=slot,
-                    command=pending.command,
-                    commit_index=self.log.commit_index,
-                )
-                for member in self.members:
-                    if member not in pending.acks:
-                        self.transport.send(member, msg)
+        # Each member's unacked slots.  Our own vote is retried by taking
+        # the acceptor step again (its append failed, or its fsync did),
+        # except where this round's record may still be awaiting its fsync.
+        need: dict[str, list[tuple[int, Command]]] = {}
+        for slot, pending in sorted(self._pending.items()):
+            for member in self.members:
+                if member in pending.acks:
+                    continue
+                if member == self.replica_id and pending.own_wal:
+                    pending.own_wal = False
+                    continue
+                need.setdefault(member, []).append((slot, pending.command))
+        own = need.pop(self.replica_id, [])
+        split = _contiguous_runs if self.config.accept_coalescing else _single_runs
+        for member, pairs in need.items():
+            for run in split(pairs):
+                self.transport.send(member, self._pack_run(run))
+        for run in split(own):
+            if self.is_leader:  # our vote can choose a slot that retires us
+                self._accept_own(run)
         if self._pending:
             self._retry_delay = decorrelated_jitter(
                 self.transport.rng(),
@@ -1593,6 +1601,11 @@ def _contiguous_runs(pairs: list[tuple[int, Command]]) -> list[list[tuple[int, C
         else:
             runs.append([(slot, command)])
     return runs
+
+
+def _single_runs(pairs: list[tuple[int, Command]]) -> list[list[tuple[int, Command]]]:
+    """The per-slot path's split: every pair is its own run."""
+    return [[pair] for pair in pairs]
 
 
 PaxosReplica._HANDLERS = {

@@ -59,7 +59,7 @@ class ClientConfig:
             raise ValueError(f"bad read_routing mode {self.read_routing}")
 
 
-@dataclass
+@dataclass(slots=True)
 class OpRecord:
     """One completed (or failed) client operation, for analysis."""
 

@@ -321,6 +321,44 @@ def _bench_write_path(n: int) -> Callable[[], int]:
     return run
 
 
+def _bench_accept_msgs_per_slot(n: int) -> Callable[[], int]:
+    """Network cost of phase 2 as a count: ``n`` proposals, one at a
+    time, through a 3-replica and a 5-replica group, counting every
+    Accept-family message sent.  The per-slot counts land in ``extra``,
+    where ``scripts/check_perf.sh`` holds them at exactly 2·(n−1) — the
+    leader votes locally; the value is those messages per host second.
+    """
+
+    def one(members: int) -> tuple[int, int]:
+        from repro.consensus.commands import Command
+        from repro.consensus.harness import build_cluster, record_sends
+
+        sim = Simulator(seed=1)
+        net = SimNetwork(sim, latency=ConstantLatency(0.001))
+        hosts = build_cluster(sim, net, n=members)
+        sim.run_for(1.5)  # election and read barrier
+        sent = record_sends(hosts)
+        chosen = 0
+        for i in range(n):
+            future = hosts[0].propose(Command.app(i))
+            sim.run_for(0.01)
+            chosen += future.done and future.exception is None
+        family = ("Accept", "AcceptBatch", "Accepted", "AcceptedBatch")
+        return sum(kind in family for _src, _dst, kind in sent), chosen
+
+    def run() -> int:
+        t0 = time.perf_counter()
+        (sent3, chosen3), (sent5, chosen5) = one(3), one(5)
+        run.self_timed = (sent3 + sent5, time.perf_counter() - t0)  # type: ignore[attr-defined]
+        run.extra = {  # type: ignore[attr-defined]
+            "msgs_per_slot_n3": round(sent3 / max(1, chosen3), 3),
+            "msgs_per_slot_n5": round(sent5 / max(1, chosen5), 3),
+        }
+        return sent3 + sent5
+
+    return run
+
+
 def _bench_wal_fsync_per_ack(n: int) -> Callable[[], int]:
     """Per-ack WAL cost against log length: ``n`` append + fsync pairs
     on a region already retaining 100 synced records and on one
@@ -377,6 +415,7 @@ def run_microbenchmarks(quick: bool = False, repeat: int = 3) -> dict:
     n_writes = 2_000 if quick else 20_000
     n_lookups = 20_000 if quick else 200_000
     n_lookup_groups = 334 if quick else 3_334  # ~1k / ~10k nodes at 3 members/group
+    n_slots = 100 if quick else 500
 
     specs: list[tuple[str, str, Callable[[], int]]] = [
         ("event_throughput", "events_per_s", _bench_event_throughput(n_events)),
@@ -388,6 +427,7 @@ def run_microbenchmarks(quick: bool = False, repeat: int = 3) -> dict:
         ("e2e_scatter_ops", "events_per_s", _bench_e2e_ops(e2e_duration)),
         ("write_path_saturation", "events_per_s", _bench_write_path(n_writes)),
         ("wal_fsync_per_ack", "pairs_per_s", _bench_wal_fsync_per_ack(2_000)),
+        ("accept_msgs_per_slot", "msgs_per_s", _bench_accept_msgs_per_slot(n_slots)),
     ]
 
     benchmarks = []

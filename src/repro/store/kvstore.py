@@ -39,7 +39,7 @@ class KvOp:
             raise ValueError(f"unknown op {self.op!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KvResult:
     """Outcome of a storage operation."""
 
@@ -49,7 +49,7 @@ class KvResult:
     error: str | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class _Cell:
     value: Any
     version: int

@@ -337,7 +337,7 @@ class TestFuzzKnobs:
     def test_stale_follower_read_canary_found(self):
         from repro.check import run_plan, sample_plan
 
-        plan = sample_plan(11, 0)
+        plan = sample_plan(11, 1)
         assert plan.follower_reads  # the canary seed samples the knob on
         outcome = run_plan(plan, bug="stale-follower-read")
         assert outcome.failed
@@ -348,6 +348,6 @@ class TestFuzzKnobs:
         # serves reads: the same plan with follower_reads off runs clean.
         from repro.check import run_plan, sample_plan
 
-        plan = replace(sample_plan(11, 0), follower_reads=False)
+        plan = replace(sample_plan(11, 1), follower_reads=False)
         outcome = run_plan(plan, bug="stale-follower-read")
         assert not outcome.failed, outcome.failure

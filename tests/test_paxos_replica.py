@@ -3,7 +3,7 @@
 import pytest
 
 from repro.consensus import Command, NotLeader, PaxosConfig
-from repro.consensus.harness import PaxosHost, build_cluster, current_leader
+from repro.consensus.harness import PaxosHost, build_cluster, current_leader, record_sends
 from repro.sim import ConstantLatency, LogNormalLatency, SimNetwork, Simulator
 
 FAST = PaxosConfig(
@@ -272,3 +272,137 @@ class TestReconfiguration:
         hosts[2].crash()
         sim.run_for(5.0)
         assert hosts[0].replica.suspected_members(dead_after=2.0) == ["n2"]
+
+
+ACCEPT_TYPES = {"Accept", "AcceptBatch", "Accepted", "AcceptedBatch"}
+
+
+class TestLeaderVotesLocally:
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_chosen_slot_costs_one_accept_out_one_accepted_in_per_peer(self, n):
+        sim = Simulator(seed=0)
+        net = SimNetwork(sim, latency=ConstantLatency(0.005))
+        hosts = build_cluster(sim, net, n=n, config=FAST)
+        sent = record_sends(hosts)
+        sim.run_for(1.0)  # election + read barrier
+        settled = len(sent)
+        f = hosts[0].propose(Command.app("x"))
+        sim.run_for(0.05)
+        assert f.result() == "x"
+        slot_msgs = [m for m in sent[settled:] if m[2] in ACCEPT_TYPES]
+        peers = [f"n{i}" for i in range(1, n)]
+        assert sorted(slot_msgs) == (  # 2 * (n - 1), none of them the leader's own
+            [("n0", peer, "Accept") for peer in peers]
+            + [(peer, "n0", "Accepted") for peer in peers]
+        )
+        # Nothing in steady state is self-addressed, and no accept
+        # traffic ever was — the election's included.
+        assert not [m for m in sent[settled:] if m[0] == m[1]]
+        assert not [m for m in sent if m[0] == m[1] and m[2] in ACCEPT_TYPES]
+
+    def test_coalesced_run_is_not_self_addressed_either(self):
+        config = PaxosConfig(
+            heartbeat_interval=0.1, election_timeout=0.5, lease_duration=0.35,
+            retry_interval=0.3, accept_coalescing=True,
+        )
+        sim = Simulator(seed=0)
+        net = SimNetwork(sim, latency=ConstantLatency(0.005))
+        hosts = build_cluster(sim, net, n=3, config=config)
+        sent = record_sends(hosts)
+        sim.run_for(1.0)
+        settled = len(sent)
+        futures = [hosts[0].propose(Command.app(i)) for i in range(6)]
+        sim.run_for(0.05)
+        assert [f.result() for f in futures] == list(range(6))
+        slot_msgs = sorted(m for m in sent[settled:] if m[2] in ACCEPT_TYPES)
+        assert slot_msgs == [
+            ("n0", "n1", "AcceptBatch"),
+            ("n0", "n2", "AcceptBatch"),
+            ("n1", "n0", "AcceptedBatch"),
+            ("n2", "n0", "AcceptedBatch"),
+        ]
+
+    def test_one_member_group_commits_without_the_network(self):
+        sim, net, hosts = make_cluster(n=1)
+        assert current_leader(hosts) is hosts[0]
+        sent = net.stats.sent
+        futures = [hosts[0].propose(Command.app(i)) for i in range(5)]
+        # No peer to wait for and no durability model: chosen in place.
+        assert [f.result() for f in futures] == list(range(5))
+        assert committed_payloads(hosts[0]) == list(range(5))
+        sim.run_for(1.0)
+        assert net.stats.sent == sent
+
+    def test_one_member_group_reconfigures_in_place(self):
+        # A config change chosen synchronously must clear its barrier
+        # before the proposals queued behind it are issued.
+        sim, net, hosts = make_cluster(n=1)
+        joiner = PaxosHost("n9", sim, net, members=["n0"], config=FAST)
+        add = hosts[0].propose(Command.config("add", "n9"))
+        after = hosts[0].propose(Command.app("after"))
+        assert add.done and add.exception is None
+        assert hosts[0].replica.members == ["n0", "n9"]
+        sim.run_for(2.0)
+        assert after.result() == "after"
+        assert committed_payloads(joiner) == ["after"]
+
+    def test_leader_removed_from_members_stops_counting_itself(self):
+        from repro.storage.disk import StorageConfig
+
+        sim = Simulator(seed=0)
+        net = SimNetwork(sim, latency=ConstantLatency(0.005))
+        hosts = build_cluster(sim, net, n=3, config=FAST, storage=StorageConfig())
+        sim.run_for(1.0)
+        leader = hosts[0]
+        # A slow disk holds the leader's own vote back until after the
+        # peers alone have chosen — and it has applied — its removal.
+        leader.disk.fsync_factor = 100.0
+        removal = leader.propose(Command.config("remove", "n0"))
+        sim.run_for(0.1)
+        assert removal.done and removal.exception is None
+        assert leader.replica.retired and "n0" not in leader.replica.members
+        acked_before = dict(leader.replica.storage.acked_accepts)
+        sim.run_for(0.5)  # the late fsync completes: a vote from a non-member
+        assert not leader.replica.is_leader and not leader.replica._pending
+        # It is durable, so the ledger notes it; it just no longer counts.
+        assert set(leader.replica.storage.acked_accepts) >= set(acked_before)
+        sim.run_for(2.0)
+        new_leader = current_leader(hosts[1:])
+        assert new_leader is not None
+        f = new_leader.propose(Command.app("without-n0"))
+        sim.run_for(1.0)
+        assert f.result() == "without-n0"
+        assert "without-n0" not in committed_payloads(leader)
+
+    def test_candidate_whose_own_acceptor_promised_higher_does_not_take_office(self):
+        # n1 campaigns, promises n2's higher Prepare mid-campaign, then
+        # collects a majority for its own ballot.  Its acceptor can no
+        # longer vote for what it would propose (and no self-addressed
+        # Accept is left to be nacked), so it must stand aside.
+        from repro.obs import Tracer, tracing
+
+        with tracing(Tracer()) as tracer:
+            sim, net, hosts = make_cluster()
+        hosts[0].crash()
+        sim.run_for(0.4)  # the dead leader's lease guard lapses; no timeout yet
+        n1, n2 = hosts[1].replica, hosts[2].replica
+        n1._start_campaign()
+        sim.run_for(0.002)
+        n2._start_campaign()  # has not seen n1's Prepare: same round, higher id
+        assert n2.ballot > n1.ballot
+        took_office = []
+        become = n1._become_leader
+        n1._become_leader = lambda: (become(), took_office.append(n1.is_leader))
+        sim.run_for(0.02)
+        assert n1.promised == n2.ballot
+        assert took_office == [False]  # had its majority, stood aside
+        outcomes = [
+            s.attrs.get("outcome") for s in tracer.spans_of("paxos.election")
+            if s.attrs["replica"] == "n1"
+        ]
+        assert outcomes == ["preempted"]
+        assert current_leader(hosts[1:]) is hosts[2]
+        f = hosts[2].propose(Command.app("after-duel"))
+        sim.run_for(0.5)
+        assert f.result() == "after-duel"
+        assert committed_payloads(hosts[1]) == ["after-duel"]

@@ -25,6 +25,7 @@ BENCH_NAMES = {
     "e2e_scatter_ops",
     "write_path_saturation",
     "wal_fsync_per_ack",
+    "accept_msgs_per_slot",
 }
 
 

@@ -416,6 +416,110 @@ class TestClusterRecovery:
 # ---------------------------------------------------------------------------
 # Scatter-level recovery
 # ---------------------------------------------------------------------------
+def _own_vote_cluster(retry_interval=0.3):
+    """Three replicas on constant 5 ms links, n0 leading, n2 cut off from
+    it: a slot needs the leader's own durable vote plus n1's ack."""
+    from repro.sim.latency import ConstantLatency
+
+    sim = Simulator(seed=7)
+    net = SimNetwork(sim, latency=ConstantLatency(0.005))
+    config = PaxosConfig(
+        heartbeat_interval=0.1, election_timeout=0.5, lease_duration=0.35,
+        retry_interval=retry_interval, retry_cap=retry_interval,
+    )
+    hosts = build_cluster(sim, net, 3, config=config, storage=StorageConfig())
+    sim.run_for(1.0)
+    assert current_leader(hosts) is hosts[0]
+    net.block("n0", "n2")
+    return sim, net, hosts
+
+
+def _accept_records(host, slot):
+    return [
+        r for r in host.replica.storage.records if r.kind == REC_ACCEPT and r.slot == slot
+    ]
+
+
+class TestLeaderOwnVote:
+    """The leader's vote is a local WAL append, counted from its fsync."""
+
+    def test_power_failure_before_fsync_never_counted_the_leader(self):
+        sim, _net, hosts = _own_vote_cluster()
+        leader = hosts[0]
+        storage = leader.replica.storage
+        leader.propose(Command(kind="app", payload="x", dedup=("c", 1)))
+        slot = max(leader.replica._pending)
+        sim.run_for(0.001)  # appended, fsync (2 ms) still pending
+        assert _accept_records(leader, slot) and storage.synced_seq < storage.current_seq()
+        assert leader.replica._pending[slot].acks == set()
+        assert slot not in storage.acked_accepts
+        leader.crash()
+        assert not _accept_records(leader, slot)  # the suffix died with the power
+        sim.run_for(0.1)  # the fsync completion never fires
+        assert slot not in storage.acked_accepts
+        leader.restart()
+        sim.run_for(3.0)
+        assert _no_reneges(hosts)
+
+    def test_one_follower_ack_alone_does_not_choose(self):
+        sim, _net, hosts = _own_vote_cluster()
+        leader = hosts[0]
+        leader.disk.fsync_factor = 50.0  # own fsync takes 100 ms
+        future = leader.propose(Command(kind="app", payload="x", dedup=("c", 1)))
+        slot = max(leader.replica._pending)
+        sim.run_for(0.05)  # n1's ack is in (12 ms); the leader's record is not durable
+        assert leader.replica._pending[slot].acks == {"n1"}
+        assert not future.done
+        sim.run_for(0.1)
+        assert future.done and future.exception is None
+        assert leader.replica.storage.acked_accepts[slot][0] == leader.replica.ballot
+
+    def test_append_io_error_leaves_the_slot_to_the_retry_tick(self):
+        sim, _net, hosts = _own_vote_cluster()
+        leader = hosts[0]
+        leader.disk.io_error = True
+        future = leader.propose(Command(kind="app", payload="x", dedup=("c", 1)))
+        slot = max(leader.replica._pending)
+        sim.run_for(0.05)
+        assert not _accept_records(leader, slot)
+        assert leader.replica._pending[slot].acks == {"n1"} and not future.done
+        leader.disk.io_error = False
+        sim.run_for(0.5)  # one retry tick: journal once, fsync, count, choose
+        assert future.done and future.exception is None
+        assert len(_accept_records(leader, slot)) == 1
+        sim.run_for(1.0)
+        assert len(_accept_records(leader, slot)) == 1
+
+    def test_retry_tick_does_not_rejournal_under_a_pending_fsync(self):
+        sim, _net, hosts = _own_vote_cluster()
+        leader = hosts[0]
+        leader.disk.fsync_factor = 200.0  # 400 ms: longer than a retry interval
+        future = leader.propose(Command(kind="app", payload="x", dedup=("c", 1)))
+        slot = max(leader.replica._pending)
+        assert leader.replica._pending[slot].own_wal
+        sim.run_for(0.35)  # a retry tick fired with the fsync still pending
+        assert not future.done and slot in leader.replica._pending
+        assert not leader.replica._pending[slot].own_wal  # the tick came and passed
+        assert len(_accept_records(leader, slot)) == 1
+        sim.run_for(0.1)
+        assert future.done and future.exception is None
+        assert len(_accept_records(leader, slot)) == 1
+
+    def test_failed_fsync_is_rejournaled_one_tick_later(self):
+        sim, _net, hosts = _own_vote_cluster()
+        leader = hosts[0]
+        future = leader.propose(Command(kind="app", payload="x", dedup=("c", 1)))
+        slot = max(leader.replica._pending)
+        leader.disk.io_error = True  # the append made it; its fsync will not
+        sim.run_for(0.05)
+        leader.disk.io_error = False
+        assert leader.replica._pending[slot].acks == {"n1"}
+        sim.run_for(0.9)  # tick 1 gives the fsync its chance, tick 2 journals again
+        assert future.done and future.exception is None
+        assert len(_accept_records(leader, slot)) == 2
+        assert _no_reneges(hosts)
+
+
 class TestScatterRecovery:
     def test_node_restart_with_storage_keeps_groups_consistent(self):
         params = DeploymentParams(n_nodes=9, n_groups=3, n_clients=2, seed=5)

@@ -202,7 +202,7 @@ class TestPipeline:
         sim, net, hosts = make_cluster(PaxosConfig(pipeline_depth=0, **FAST))
         futures = [hosts[0].propose(Command.app(i)) for i in range(30)]
         assert len(hosts[0].replica._pending) == 30
-        assert hosts[0].replica._queue == []
+        assert not hosts[0].replica._queue
         sim.run_for(3.0)
         assert all(f.exception is None for f in futures)
 
@@ -262,6 +262,74 @@ class TestAcceptCoalescing:
         sim.run_for(2.0)
         assert all(f.exception is None for f in futures)
         assert app_payloads(hosts[2]) == list(range(6))
+
+
+class TestOneAcceptorStep:
+    """Per-slot Accepts, an AcceptBatch and the leader's own vote all take
+    the same acceptor step, so the same input yields the same acks."""
+
+    COMMANDS = tuple(Command(kind="app", payload=i, dedup=("c", i)) for i in range(4))
+
+    def fresh_follower(self, storage):
+        _sim, _net, hosts = make_cluster(PaxosConfig(**FAST), storage=storage)
+        follower = hosts[1].replica
+        acked = []
+
+        def record(dst, msg):
+            if type(msg).__name__ == "Accepted":
+                acked.append((msg.slot,))
+            elif type(msg).__name__ == "AcceptedBatch":
+                acked.append(msg.slots)
+
+        follower.transport.send = record
+        return _sim, follower, acked
+
+    def acks_for(self, storage, coalesced, io_error_on=None):
+        from repro.consensus.messages import Accept, AcceptBatch
+
+        sim, follower, acked = self.fresh_follower(storage)
+        ballot, start = follower.promised, follower.log.commit_index + 1
+        if io_error_on is not None:
+            real = follower.storage.append_accept
+            follower.storage.append_accept = (
+                lambda slot, b, c: slot != start + io_error_on and real(slot, b, c)
+            )
+        if coalesced:
+            follower.on_message("n0", AcceptBatch(ballot, start, self.COMMANDS, -1))
+        else:
+            for offset, command in enumerate(self.COMMANDS):
+                follower.on_message("n0", Accept(ballot, start + offset, command, -1))
+        sim.run_for(0.05)
+        ledger = dict(follower.storage.acked_accepts) if storage else None
+        return sorted(slot - start for ack in acked for slot in ack), ledger
+
+    def test_same_acks_without_storage(self):
+        assert self.acks_for(None, True) == self.acks_for(None, False) == ([0, 1, 2, 3], None)
+
+    def test_same_acks_and_ledger_with_storage(self):
+        storage = StorageConfig()
+        batch, per_slot = self.acks_for(storage, True), self.acks_for(storage, False)
+        assert batch == per_slot
+        assert batch[0] == [0, 1, 2, 3] and len(batch[1]) >= 4
+
+    def test_same_acks_when_one_append_fails(self):
+        storage = StorageConfig(fsync_coalesce=0.002)
+        batch = self.acks_for(storage, True, io_error_on=2)
+        assert batch == self.acks_for(storage, False, io_error_on=2)
+        assert batch[0] == [0, 1, 3]
+
+    def test_leaders_own_vote_takes_the_same_step(self):
+        sim, _net, hosts = make_cluster(PaxosConfig(**FAST), storage=StorageConfig())
+        leader = hosts[0].replica
+        futures = [hosts[0].propose(c) for c in self.COMMANDS]
+        slots = sorted(leader._pending)
+        sim.run_for(0.05)
+        assert all(f.done for f in futures)
+        for host in hosts:  # the same ledger entries on the leader as on each peer
+            ledger = host.replica.storage.acked_accepts
+            assert [ledger[s] for s in slots] == [
+                (leader.ballot, f"app:{c.dedup}") for c in self.COMMANDS
+            ]
 
 
 # ---------------------------------------------------------------------------
