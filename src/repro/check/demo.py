@@ -27,8 +27,8 @@ the duration of a ``with`` block:
   fault (the only plans where the floor is asserted).
 - ``stale-follower-read`` skips the follower's conflict-window check:
   a granted follower serves any Get locally the moment its applied
-  prefix covers the advertised frontier, without checking the
-  in-flight write set or its own accepted-but-unapplied window.  A Get
+  prefix covers the advertised frontier, without checking its own
+  accepted-but-unapplied window.  A Get
   racing a Put on the same key can then return the old value *after*
   the Put was acknowledged elsewhere — a stale read the per-key
   linearizability checker flags.  Only bites on plans with

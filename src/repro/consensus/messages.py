@@ -88,22 +88,17 @@ class Heartbeat:
     """Leader liveness + commit propagation + lease renewal.
 
     With follower reads enabled (``PaxosConfig.follower_reads``) the
-    leader additionally piggybacks a per-member *read grant* and its
-    current conflict window: ``read_grant`` authorizes the receiver to
-    serve local reads until ``send_time + lease_duration``,
-    ``commit_index`` doubles as the commit frontier the receiver must
-    have applied, and ``dirty_keys``/``dirty_all`` name the keys of
-    writes still in flight at the leader (reads of those must bounce).
-    All three fields default to the follower-reads-off values so wire
-    traffic is unchanged when the knob is off.
+    leader additionally piggybacks a per-member *read grant*:
+    ``read_grant`` authorizes the receiver to serve local reads until
+    ``send_time + lease_duration``, and ``commit_index`` doubles as the
+    commit frontier the receiver must have applied first.  The grant
+    defaults to off, so wire traffic is unchanged without the knob.
     """
 
     ballot: Ballot
     commit_index: int
     send_time: float
     read_grant: bool = False
-    dirty_keys: tuple = ()
-    dirty_all: bool = False
 
 
 @dataclass(frozen=True, slots=True)

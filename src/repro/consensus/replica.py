@@ -138,10 +138,10 @@ class PaxosConfig:
     # default (historical per-slot messages).
     accept_coalescing: bool = False
     # Linearizable follower reads (scale-out read path).  The leader
-    # piggybacks per-member read grants plus its commit frontier and
-    # in-flight write set on heartbeats; a granted follower serves a
-    # read locally when its applied prefix covers the frontier and no
-    # in-flight write overlaps the key, else it bounces to the leader.
+    # piggybacks per-member read grants plus its commit frontier on
+    # heartbeats; a granted follower serves a read locally when its
+    # applied prefix covers the frontier and no write in its own log
+    # above that prefix overlaps the key, else it bounces to the leader.
     # Safety rests on quorum expansion: while a member's grant is live
     # the leader will not choose any write that member has not
     # accepted (see docs/PROTOCOLS.md, "Life of a read").  Off by
@@ -269,14 +269,12 @@ class PaxosReplica:
         # is conservatively a wildcard write.  Leader side: ``_grants``
         # maps member -> read-grant expiry (the quorum-expansion
         # obligation).  Follower side (``_fr_*``): the grant and
-        # conflict window from the last granting heartbeat.  All
+        # commit frontier from the last granting heartbeat.  All
         # volatile; empty/inert while ``config.follower_reads`` is off.
         self.write_keys_fn = write_keys_fn
         self._grants: dict[str, float] = {}
         self._fr_grant_until = -1.0
         self._fr_frontier = -1
-        self._fr_dirty: frozenset = _NO_KEYS
-        self._fr_dirty_all = False
 
         # Campaign state.
         self._campaigning = False
@@ -545,11 +543,9 @@ class PaxosReplica:
         self._grants.clear()
 
     def _reset_follower_read_state(self) -> None:
-        """Drop the local read grant and conflict window (all volatile)."""
+        """Drop the local read grant and frontier (all volatile)."""
         self._fr_grant_until = -1.0
         self._fr_frontier = -1
-        self._fr_dirty = _NO_KEYS
-        self._fr_dirty_all = False
 
     def retire(self) -> None:
         """Leave the group permanently (removed by reconfiguration)."""
@@ -666,45 +662,45 @@ class PaxosReplica:
     def lease_active(self) -> bool:
         return self.is_leader and self._lease_valid()
 
-    def follower_read_allowed(self, key: Any) -> bool:
-        """Can this (non-leader) replica serve a linearizable read of ``key``?
+    def follower_read_refusal(self, key: Any) -> str | None:
+        """Why this replica cannot serve a linearizable read of ``key``.
 
-        All of the following must hold (docs/PROTOCOLS.md, "Life of a
-        read"): follower reads are on; this replica is an ordinary
-        follower (not leader, retired, or amnesiac); the leader's read
-        grant is live; the applied prefix covers the granted commit
-        frontier; and no in-flight write overlaps the key — neither in
-        the leader-advertised dirty set nor accepted locally above the
-        applied prefix.  Any failed condition means *bounce to the
-        leader*, never a wrong answer.
+        ``None`` means it can.  Otherwise the first failed serve
+        condition (docs/PROTOCOLS.md, "Life of a read"): ``"grant"`` —
+        follower reads are off, this is not an ordinary follower
+        (leader, retired, or amnesiac), or the leader's read grant is
+        not live; ``"frontier"`` — the applied prefix does not cover
+        the granted commit frontier; ``"window"`` — a write accepted
+        locally above the applied prefix overlaps the key.  Any refusal
+        means *bounce to the leader*, never a wrong answer.
         """
         if (
             not self.config.follower_reads
             or self.is_leader
             or self.retired
             or self.amnesiac
+            or self.transport.now >= self._fr_grant_until
         ):
-            return False
-        if self.transport.now >= self._fr_grant_until:
-            return False
+            return "grant"
         if self.applied_index < self._fr_frontier:
-            return False
-        return self._fr_conflict_free(key)
+            return "frontier"
+        if not self._fr_conflict_free(key):
+            return "window"
+        return None
+
+    def follower_read_allowed(self, key: Any) -> bool:
+        """Can this replica serve a linearizable read of ``key`` locally?"""
+        return self.follower_read_refusal(key) is None
 
     def _fr_conflict_free(self, key: Any) -> bool:
         """The conflict-window check: does no in-flight write cover ``key``?
 
-        Two windows are consulted.  The *advertised* window
-        (``_fr_dirty``) is the leader's in-flight write set from the
-        granting heartbeat — advance notice that a write is coming.
-        The *local* window is every accepted-or-chosen log entry above
-        the applied prefix: quorum expansion guarantees any write that
+        The window is every accepted-or-chosen log entry above the
+        applied prefix: quorum expansion guarantees any write that
         commits while our grant is live was accepted here first, so a
-        clean local window proves the applied prefix is read-current.
-        The ``stale-follower-read`` demo bug patches this method out.
+        clean window proves the applied prefix is read-current.  The
+        ``stale-follower-read`` demo bug patches this method out.
         """
-        if self._fr_dirty_all or key in self._fr_dirty:
-            return False
         for value in self.log.pending_values(self.applied_index + 1):
             keys, wildcard = self._command_writes(value)
             if wildcard or key in keys:
@@ -1285,12 +1281,6 @@ class PaxosReplica:
             self.tracer.metrics.inc("paxos.heartbeats")
         self.transport.set_timer(self.config.heartbeat_interval, self._heartbeat_tick, ballot)
 
-    # Cap on piggybacked dirty keys: a leader with a deeper write
-    # pipeline than this advertises a wildcard conflict window instead,
-    # keeping heartbeats O(1) under saturation (followers bounce reads,
-    # the honest answer when the leader is write-saturated).
-    _DIRTY_KEY_CAP = 32
-
     def _send_granting_heartbeats(self, now: float) -> None:
         """Follower-reads heartbeat fan-out: per-member read grants.
 
@@ -1302,7 +1292,6 @@ class PaxosReplica:
         ``_grants`` — the quorum-expansion half of the safety argument.
         """
         lease_live = now < self._lease_until
-        dirty_keys, dirty_all = self._inflight_write_keys()
         expiry = now + self.config.lease_duration
         for member in self.members:
             if member == self.replica_id:
@@ -1318,41 +1307,11 @@ class PaxosReplica:
                     commit_index=self.log.commit_index,
                     send_time=now,
                     read_grant=grant,
-                    dirty_keys=dirty_keys,
-                    dirty_all=dirty_all,
                 ),
             )
         for member in [m for m, until in self._grants.items() if until <= now]:
             del self._grants[member]
         self._sweep_granted_slots()
-
-    def _inflight_write_keys(self) -> tuple[tuple, bool]:
-        """Keys of writes in flight at this leader (the conflict window).
-
-        Covers every stage a write can be parked in: unchosen slots,
-        the admission queue, the batch buffer, and the recovered
-        backlog.  Returns ``(keys, wildcard)``; wildcard means "treat
-        every key as dirty" (no classifier, or past the key cap).
-        """
-        keys: set = set()
-        for command in self._iter_inflight_commands():
-            ks, wildcard = self._command_writes(command)
-            if wildcard:
-                return ((), True)
-            keys.update(ks)
-            if len(keys) > self._DIRTY_KEY_CAP:
-                return ((), True)
-        return (tuple(sorted(keys, key=repr)), False)
-
-    def _iter_inflight_commands(self):
-        for pending in self._pending.values():
-            yield pending.command
-        for command, _future in self._queue:
-            yield command
-        for command, _future in self._batch_buffer:
-            yield command
-        for _slot, command in self._backlog:
-            yield command
 
     def _sweep_granted_slots(self) -> None:
         """Re-evaluate pending slots blocked only on read grants.
@@ -1393,8 +1352,6 @@ class PaxosReplica:
             if msg.read_grant:
                 self._fr_grant_until = msg.send_time + self.config.lease_duration
                 self._fr_frontier = msg.commit_index
-                self._fr_dirty = frozenset(msg.dirty_keys) if msg.dirty_keys else _NO_KEYS
-                self._fr_dirty_all = msg.dirty_all
             else:
                 # The leader stopped granting (its own lease lapsed, or
                 # our acks went stale); drop ours early — conservative,

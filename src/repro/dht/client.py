@@ -39,10 +39,13 @@ class ClientConfig:
     # Replica-aware read routing (the scale-out read path; pair with
     # PaxosConfig.follower_reads).  "leader" sends Gets to the leader
     # hint as always; "round_robin" rotates them across the cached
-    # group members; "nearest" picks the member with the lowest
-    # expected link latency.  A follower that cannot serve bounces
-    # ``not_leader`` and the client falls back to the leader, so any
-    # mode is safe with follower reads off — just one hop slower.
+    # group members, passing over the leader once for every op it
+    # already took outside the rotation (writes, bounced Gets), so
+    # its total load tracks each follower's; "nearest" picks the
+    # member with the lowest expected link latency.  A follower that
+    # cannot serve bounces ``not_leader`` and the client falls back to
+    # the leader, so any mode is safe with follower reads off — just
+    # one hop slower.
     read_routing: str = "leader"
     # Precomputed bisect routing table over the cache (repro.dht.route)
     # instead of the linear containment scan.  O(log groups) per op, so
@@ -113,7 +116,12 @@ class ScatterClient(Node):
         self.records: list[OpRecord] = []
         self._seq = 0
         self._rng = sim.rng(f"client:{client_id}")
-        self._rr_next = 0  # round-robin read cursor (deterministic, no RNG)
+        # round_robin read routing, per cached gid (deterministic, no
+        # RNG): the rotation cursor, and the ops sent to the group's
+        # leader outside the rotation that it has not yet been passed
+        # over for.
+        self._rr_next: dict[str, int] = {}
+        self._leader_owed: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Public API
@@ -177,8 +185,11 @@ class ScatterClient(Node):
         info = self._best_info(op.key)
         target = info.leader_hint if info is not None else self._seed()
         backups: list[str] = list(info.members) if info is not None else []
+        rotating = info is not None and self.config.read_routing == "round_robin"
         if op.op == OP_GET and info is not None:
             target = self._read_target(info) or target
+        elif rotating:
+            self._owe_leader(info)
         visits: dict[str, int] = {}
         while self.sim.now < deadline and record.hops < self.config.max_hops:
             if target is None:
@@ -218,6 +229,8 @@ class ScatterClient(Node):
                 record.result = resp.result
                 return resp.result
             if resp.status == "not_leader":
+                if rotating and op.op == OP_GET:
+                    self._owe_leader(info)
                 target = resp.leader_hint or self._next_target(backups, exclude=target)
                 continue
             if resp.status in ("moved", "redirect"):
@@ -251,20 +264,45 @@ class ScatterClient(Node):
 
         ``leader`` (default) returns ``None`` — the caller uses the
         leader hint, byte-identical to the historical path.
-        ``round_robin`` rotates Gets across the cached members;
-        ``nearest`` picks the member with the lowest expected link
-        latency (ties broken by id for determinism).  A member that
-        cannot serve locally answers ``not_leader`` and the routing
-        loop falls back to its leader hint.
+        ``round_robin`` rotates Gets across the cached members and is
+        work-conserving: when the rotation lands on the leader hint
+        while the leader is owed for an op it took outside the
+        rotation (:meth:`_owe_leader`), it pays one off and moves on,
+        so the leader's reads + writes + bounces track each follower's
+        reads.  ``nearest`` picks the member with the lowest expected
+        link latency (ties broken by id for determinism).  A member
+        that cannot serve locally answers ``not_leader`` and the
+        routing loop falls back to its leader hint.
         """
         mode = self.config.read_routing
-        if mode == "leader" or not info.members:
+        members = info.members
+        if mode == "leader" or not members:
             return None
         if mode == "round_robin":
-            self._rr_next += 1
-            return info.members[self._rr_next % len(info.members)]
+            gid, n = info.gid, len(members)
+            cursor = self._rr_next.get(gid, 0) + 1
+            owed = self._leader_owed.get(gid, 0)
+            if owed and n > 1 and members[cursor % n] == info.leader_hint:
+                self._leader_owed[gid] = owed - 1
+                cursor += 1
+            self._rr_next[gid] = cursor
+            return members[cursor % n]
         latency = self.net.latency
-        return min(info.members, key=lambda m: (latency.expected(self.node_id, m), m))
+        return min(members, key=lambda m: (latency.expected(self.node_id, m), m))
+
+    def _owe_leader(self, info: GroupInfo) -> None:
+        """Record one op sent to ``info``'s leader outside the read rotation.
+
+        Every non-Get and every Get that bounced ``not_leader`` lands
+        on the leader whatever the rotation says.  The count is capped
+        at one per member: older history says nothing about the
+        leader's load now, and an uncapped count would keep the leader
+        out of the rotation long after a write burst, or an election
+        during which every Get bounced, had ended.
+        """
+        owed = self._leader_owed.get(info.gid, 0)
+        if owed < len(info.members):
+            self._leader_owed[info.gid] = owed + 1
 
     def _next_target(self, backups: list[str], exclude: str | None) -> str | None:
         while backups:
@@ -284,7 +322,10 @@ class ScatterClient(Node):
         if cached is not None and cached.epoch > info.epoch:
             return  # keep the fresher view
         if cached is None and len(self.cache) >= self.config.cache_size:
-            self.cache.pop(next(iter(self.cache)))
+            evicted = next(iter(self.cache))
+            del self.cache[evicted]
+            self._rr_next.pop(evicted, None)
+            self._leader_owed.pop(evicted, None)
         self.cache[info.gid] = info
         # Re-learning an identical view is the steady-state common case
         # (every reply carries groups); only an actual change dirties

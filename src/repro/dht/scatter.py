@@ -309,11 +309,15 @@ class ScatterNode(Node):
         key = msg.op.key
         # Active groups take precedence: after a split, the retired group
         # and its replacement both contain the key on this host.
-        hosted = sorted(
-            (r for r in self.groups.values() if r.range.contains(key)),
-            key=lambda r: r.status is GroupStatus.RETIRED,
-        )
-        for replica in hosted:
+        replica = None
+        for hosted in self.groups.values():
+            if hosted.range.contains(key):
+                if hosted.status is not GroupStatus.RETIRED:
+                    replica = hosted
+                    break
+                if replica is None:
+                    replica = hosted
+        if replica is not None:
             if replica.status is GroupStatus.RETIRED:
                 if msg.ttl > 0 and replica.forwarding:
                     best = next(

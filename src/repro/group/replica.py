@@ -213,19 +213,21 @@ class GroupReplica:
         non-leader replica answers from its applied store state when the
         consensus layer proves the read linearizable — live read grant,
         applied prefix past the granted commit frontier, and no
-        in-flight write overlapping the key (see
-        :meth:`PaxosReplica.follower_read_allowed`).  Anything else
-        returns ``None`` and the node bounces the client to the leader.
-        Never proposes, never sends a message; with the knob off it
-        returns ``None`` immediately.
+        write in its own log above the applied prefix overlapping the
+        key (see :meth:`PaxosReplica.follower_read_refusal`).  Anything
+        else returns ``None`` and the node bounces the client to the
+        leader, counted by reason.  Never proposes, never sends a
+        message; with the knob off it returns ``None`` immediately.
         """
         paxos = self.paxos
         if not paxos.config.follower_reads or op.op != OP_GET:
             return None
         tracer = self.tracer
-        if not paxos.follower_read_allowed(op.key):
+        refusal = paxos.follower_read_refusal(op.key)
+        if refusal is not None:
             if tracer is not None:
                 tracer.metrics.inc("reads.bounced")
+                tracer.metrics.inc("reads.bounced." + refusal)
             return None
         if tracer is not None:
             tracer.metrics.inc("reads.follower")

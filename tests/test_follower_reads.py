@@ -20,16 +20,21 @@ from repro.consensus.commands import Command
 from repro.consensus.harness import build_cluster, current_leader
 from repro.consensus.log import PaxosLog
 from repro.consensus.replica import PaxosConfig
-from repro.dht.client import ClientConfig
+from repro.dht.client import ClientConfig, ScatterClient
+from repro.dht.messages import ClientOpReq, ClientOpResp
+from repro.dht.ring import KEY_SPACE, KeyRange
+from repro.group.info import GroupInfo
 from repro.harness.builders import (
     DeploymentParams,
     build_scatter_deployment,
     experiment_scatter_config,
 )
+from repro.net.node import Node
 from repro.obs import Tracer, tracing
 from repro.sim.loop import Simulator
 from repro.sim.network import SimNetwork
 from repro.sim.latency import ConstantLatency
+from repro.store.kvstore import OP_GET, KvResult
 from repro.workloads import UniformKeys
 from repro.workloads.driver import ClosedLoopWorkload
 
@@ -79,18 +84,8 @@ class TestGrants:
         net.block(leader.node_id, cut.node_id)
         # Past the grant lifetime but short of an election timeout.
         sim.run_for(0.4)
-        assert not cut.replica.follower_read_allowed("k")
+        assert cut.replica.follower_read_refusal("k") == "grant"
         assert followers[1].replica.follower_read_allowed("k")
-
-    def test_advertised_dirty_key_blocks_only_that_key(self):
-        sim, net, hosts = make_cluster(PaxosConfig(follower_reads=True, **FAST))
-        _leader, followers = split_roles(hosts)
-        replica = followers[0].replica
-        replica._fr_dirty = frozenset({"hot"})
-        assert not replica.follower_read_allowed("hot")
-        assert replica.follower_read_allowed("cold")
-        replica._fr_dirty_all = True
-        assert not replica.follower_read_allowed("cold")
 
     def test_accepted_but_unapplied_entry_blocks_reads(self):
         # An Accept the follower has logged above its applied prefix is a
@@ -101,11 +96,11 @@ class TestGrants:
         sim, net, hosts = make_cluster(PaxosConfig(follower_reads=True, **FAST))
         _leader, followers = split_roles(hosts)
         replica = followers[0].replica
-        assert replica.follower_read_allowed("k")
+        assert replica.follower_read_refusal("k") is None
         entry = replica.log.entry(replica.applied_index + 1)
         entry.accepted_ballot = (1, "n0")
         entry.accepted_value = Command.app("w")
-        assert not replica.follower_read_allowed("k")
+        assert replica.follower_read_refusal("k") == "window"
 
     def test_write_waits_for_partitioned_grantee(self):
         # Quorum expansion: while a follower's grant is live, a write is
@@ -209,8 +204,13 @@ class TestServing:
         counters, records = self.run_workload("round_robin")
         assert counters.get("reads.follower", 0) > 0
         assert counters.get("reads.leader", 0) > 0
-        # Contended keys bounce (conflict window) rather than serve stale.
-        assert counters.get("reads.bounced", 0) > 0
+        # Contended keys bounce (conflict window) rather than serve stale,
+        # and every bounce is counted under the condition that failed.
+        assert counters.get("reads.bounced.window", 0) > 0
+        assert counters["reads.bounced"] == sum(
+            counters.get(f"reads.bounced.{reason}", 0)
+            for reason in ("grant", "frontier", "window")
+        )
         result = check_history(records)
         assert result.ok, result.violations
 
@@ -234,6 +234,172 @@ class TestServing:
         assert counters.get("reads.follower", 0) == 0
         assert counters.get("reads.bounced", 0) == 0
         assert counters.get("reads.leader", 0) > 0
+
+
+    def test_follower_serves_key_of_a_write_queued_at_the_leader(self):
+        # The leader holds a Put of k in its batch buffer for several
+        # heartbeats without broadcasting it.  Nothing about that write
+        # is in any follower's log, so safety does not need a bounce:
+        # the write cannot be acknowledged before these followers
+        # accept it (quorum expansion).  Followers serve the old value.
+        paxos = PaxosConfig(
+            heartbeat_interval=0.1,
+            election_timeout=0.9,
+            lease_duration=0.7,
+            retry_interval=0.4,
+            follower_reads=True,
+            batch=True,
+            batch_window=0.35,  # under the client's 0.5 s rpc_timeout
+        )
+        with tracing(Tracer()) as tracer:
+            deployment = build_scatter_deployment(
+                DeploymentParams(n_nodes=3, n_groups=1, n_clients=1, seed=3),
+                config=experiment_scatter_config(paxos=paxos),
+                client_config=ClientConfig(read_routing="round_robin"),
+            )
+            sim, client = deployment.sim, deployment.clients[0]
+            first = client.put("k", 1)
+            sim.run_for(2.0)
+            assert first.result().ok
+            (gid,) = deployment.system.active_groups()
+            leader = deployment.system.leader_of(gid)
+            second = client.put("k", 2)
+            sim.run_for(0.25)  # two granting heartbeats into the window
+            assert leader.paxos._batch_buffer and not second.done
+            counters = tracer.metrics.counters
+            served = counters.get("reads.follower", 0)
+            # Two Puts are owed, so one rotation passes over the leader.
+            gets = [client.get("k") for _ in range(2)]
+            sim.run_for(0.1)
+            assert [g.result().value for g in gets] == [1, 1]
+            assert counters.get("reads.follower", 0) == served + 2
+            assert counters.get("reads.bounced", 0) == 0
+            sim.run_for(2.0)
+            assert second.result().ok
+            last = client.get("k")
+            sim.run_for(1.0)
+            assert last.result().value == 2
+        result = check_history(client.records)
+        assert result.ok, result.violations
+
+
+# ---------------------------------------------------------------------------
+# Work-conserving read rotation (client side)
+# ---------------------------------------------------------------------------
+class _Member(Node):
+    """Stub group member: counts client ops and answers like a replica.
+
+    The leader serves everything; a follower serves Gets, except every
+    ``bounce_every``-th one, which it bounces ``not_leader``.
+    """
+
+    def __init__(self, node_id, sim, net, leader, bounce_every=0):
+        super().__init__(node_id, sim, net)
+        self.leader = leader
+        self.bounce_every = bounce_every
+        self.ops = 0
+        self.on(ClientOpReq, self._serve)
+
+    def _serve(self, src, msg):
+        self.ops += 1
+        if self.node_id != self.leader:
+            assert msg.op.op == OP_GET, "a write was sent to a follower"
+            if self.bounce_every and self.ops % self.bounce_every == 0:
+                return ClientOpResp(status="not_leader", leader_hint=self.leader)
+        return ClientOpResp(status="ok", result=KvResult(ok=True))
+
+
+def _rotation_rig(groups, *, bounce_every=0):
+    """A round-robin client over stub groups ``{gid: (n, leader_index)}``.
+
+    ``leader_index`` None leaves the leader hint pointing at a node
+    outside the group (unknown leader).  The groups tile the ring.
+    """
+    sim = Simulator(seed=0)
+    net = SimNetwork(sim, latency=ConstantLatency(0.001))
+    client = ScatterClient(
+        "c0", sim, net, lambda: [], ClientConfig(read_routing="round_robin")
+    )
+    members, keys = {}, {}
+    arc = KEY_SPACE // len(groups)
+    for i, (gid, (n, leader_index)) in enumerate(groups.items()):
+        ids = tuple(f"{gid}-m{j}" for j in range(n))
+        leader = ids[leader_index] if leader_index is not None else f"{gid}-gone"
+        members[gid] = [_Member(m, sim, net, leader, bounce_every) for m in ids]
+        lo = i * arc
+        client._learn(GroupInfo(gid, KeyRange(lo, (lo + arc) % KEY_SPACE), ids, leader))
+        keys[gid] = lo + 1
+    return sim, client, members, keys
+
+
+def _issue(sim, client, key, read):
+    future = client.get(key) if read else client.put(key, 0)
+    sim.run_for(0.1)
+    assert future.result().ok
+
+
+class TestRotationBalance:
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    @pytest.mark.parametrize("writes_per_ten", [0, 1, 5])
+    @pytest.mark.parametrize("bounce_every", [0, 25])
+    def test_leader_total_tracks_each_followers_reads(
+        self, n, writes_per_ten, bounce_every
+    ):
+        sim, client, members, keys = _rotation_rig(
+            {"g": (n, 1)}, bounce_every=bounce_every
+        )
+        for i in range(40 * n):
+            _issue(sim, client, keys["g"], read=i % 10 >= writes_per_ten)
+        leader, followers = members["g"][1], members["g"][:1] + members["g"][2:]
+        counts = [f.ops for f in followers]
+        assert max(counts) - min(counts) <= 1
+        # Writes and bounced Gets land on the leader whatever the
+        # rotation does.  Where reads suffice to even that out, the
+        # leader's total is each follower's read count; where they do
+        # not, the leader is sent no read at all.
+        outside = 4 * n * writes_per_ten + sum(
+            f.ops // bounce_every for f in followers if bounce_every
+        )
+        assert abs(leader.ops - max(outside, max(counts))) <= 1
+
+    def test_two_groups_keep_separate_counts(self):
+        sim, client, members, keys = _rotation_rig({"a": (3, 0), "b": (3, 0)})
+        for _ in range(3):
+            _issue(sim, client, keys["a"], read=False)
+        for _ in range(9):
+            _issue(sim, client, keys["a"], read=True)
+            _issue(sim, client, keys["b"], read=True)
+        # Group a's three writes excuse its leader from three reads;
+        # group b never wrote, so its rotation stays uniform.
+        assert [m.ops for m in members["a"]] == [4, 4, 4]
+        assert [m.ops for m in members["b"]] == [3, 3, 3]
+
+    def test_a_write_burst_excuses_the_leader_for_one_pass_per_member(self):
+        # The count is capped at the group size, so after a long run of
+        # writes the leader is back in the rotation within n passes
+        # instead of sitting idle while two followers carry every read.
+        sim, client, members, keys = _rotation_rig({"g": (3, 0)})
+        for _ in range(30):
+            _issue(sim, client, keys["g"], read=False)
+        for _ in range(6):
+            _issue(sim, client, keys["g"], read=True)
+        assert [m.ops for m in members["g"]] == [30, 3, 3]
+        for _ in range(6):
+            _issue(sim, client, keys["g"], read=True)
+        assert [m.ops for m in members["g"]] == [32, 5, 5]
+
+    @pytest.mark.parametrize("shape", [(3, None), (1, 0)])
+    def test_plain_rotation_without_a_usable_leader_hint(self, shape):
+        # Leader unknown (hint names no member) or the only member:
+        # nothing to pass over, every member takes its turn.
+        n, _leader_index = shape
+        sim, client, members, keys = _rotation_rig({"g": shape})
+        info = client.cache["g"]
+        for _ in range(4):
+            client._owe_leader(info)
+        targets = [client._read_target(info) for _ in range(4 * n)]
+        assert set(targets) == set(info.members)
+        assert all(targets.count(m) == 4 for m in info.members)
 
 
 class TestClientConfigValidation:
