@@ -18,8 +18,10 @@ PYTHONPATH=src python -m repro perf --json BENCH_SIM.json --fail-below 0.6 "$@"
 # routing table beats the linear successor scan.  The WAL's per-ack cost
 # is the same kind of number with a ceiling: an append + fsync pair on a
 # 10,000-record log must cost under twice what it does on a 100-record one.
-# And one exact count, the same on every host: the leader votes locally,
-# so a chosen slot costs 2*(n-1) Accept-family messages, 4 at n=3, 8 at n=5.
+# And two exact counts, the same on every host: the leader votes locally,
+# so a chosen slot costs 2*(n-1) Accept-family messages, 4 at n=3, 8 at n=5;
+# and a window of client ops with the collector off leaves it nothing to
+# find, because a finished op is freed by reference count.
 PYTHONPATH=src python - <<'EOF'
 import json
 import sys
@@ -29,7 +31,8 @@ with open("BENCH_SIM.json") as f:
 by_name = {b["name"]: b for b in report["benchmarks"]}
 failures = []
 for name in (
-    "ring_lookup_10k", "pooled_send_deliver", "wal_fsync_per_ack", "accept_msgs_per_slot"
+    "ring_lookup_10k", "pooled_send_deliver", "wal_fsync_per_ack", "accept_msgs_per_slot",
+    "cyclic_garbage_per_op",
 ):
     if name not in by_name:
         failures.append(f"{name} missing from BENCH_SIM.json")
@@ -50,6 +53,10 @@ if "accept_msgs_per_slot" in by_name:
         got = by_name["accept_msgs_per_slot"].get(key)
         if got != want:
             failures.append(f"accept_msgs_per_slot {key} {got} != {want}")
+if "cyclic_garbage_per_op" in by_name:
+    got = by_name["cyclic_garbage_per_op"].get("cyclic_garbage_per_op")
+    if got != 0:
+        failures.append(f"cyclic_garbage_per_op {got} != 0")
 for line in failures:
     print(f"check_perf: {line}", file=sys.stderr)
 sys.exit(1 if failures else 0)

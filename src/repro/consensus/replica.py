@@ -1267,8 +1267,9 @@ class PaxosReplica:
         self.last_leader_contact = now
         self._hb_acks[now] = {self.replica_id}
         if len(self._hb_acks) > 64:
-            for stale in sorted(self._hb_acks)[:-64]:
-                del self._hb_acks[stale]
+            # Keyed by send time, which only grows, so the oldest entry
+            # is the first; one is added per tick, so one goes per tick.
+            del self._hb_acks[next(iter(self._hb_acks))]
         if self.config.follower_reads:
             self._send_granting_heartbeats(now)
         else:
@@ -1368,6 +1369,8 @@ class PaxosReplica:
             return
         acks.add(src)
         if len(acks) >= self._majority():
+            # A later ack of the same heartbeat could only repeat this.
+            del self._hb_acks[msg.send_time]
             lease_until = msg.send_time + self.config.lease_duration
             if lease_until > self._lease_until:
                 self._lease_until = lease_until

@@ -108,6 +108,50 @@ def all_of(futures: Iterable[Future]) -> Future:
 Proc = Generator[Future, Any, Any]
 
 
+class _Process:
+    """One running generator and the future its result resolves.
+
+    Nothing the process owns points back at it: the only references are
+    the bound :meth:`step` in a heap entry and the bound :meth:`resume`
+    in the awaited future's callback list, and each is dropped when it
+    runs.  A finished process is therefore freed by reference count,
+    generator and ``done`` future included, with nothing left for the
+    cyclic collector.
+    """
+
+    __slots__ = ("_sim", "_gen", "_done")
+
+    def __init__(self, sim: Simulator, gen: Proc, done: Future) -> None:
+        self._sim = sim
+        self._gen = gen
+        self._done = done
+
+    def step(self, send_value: Any, throw_exc: BaseException | None) -> None:
+        gen = self._gen
+        try:
+            if throw_exc is not None:
+                waited = gen.throw(throw_exc)
+            else:
+                waited = gen.send(send_value)
+        except StopIteration as stop:
+            self._done.set_result(stop.value)
+            return
+        except BaseException as exc:  # process crashed: propagate
+            self._done.set_exception(exc)
+            return
+        if not isinstance(waited, Future):
+            gen.close()
+            self._done.set_exception(
+                TypeError(f"process yielded {type(waited).__name__}, expected Future")
+            )
+            return
+        waited.add_callback(self.resume)
+
+    def resume(self, waited: Future) -> None:
+        # A failed future's result is still None: first writer wins.
+        self._sim.call_soon_fire(self.step, waited._result, waited._exception)
+
+
 def spawn(sim: Simulator, gen: Proc) -> Future:
     """Drive a generator process; resolve the returned future with its result.
 
@@ -118,30 +162,11 @@ def spawn(sim: Simulator, gen: Proc) -> Future:
     happens via ``sim.call_soon_fire`` so process steps interleave with
     message deliveries in deterministic event order (resumes are never
     cancelled, so the fire-and-forget path applies).
+
+    The driver is a :class:`_Process`, not a closure: a function that
+    names itself sits in a reference cycle with its own cells, and every
+    finished process would wait for the cyclic collector.
     """
     done = Future()
-
-    def step(send_value: Any, throw_exc: BaseException | None) -> None:
-        try:
-            if throw_exc is not None:
-                waited = gen.throw(throw_exc)
-            else:
-                waited = gen.send(send_value)
-        except StopIteration as stop:
-            done.set_result(stop.value)
-            return
-        except BaseException as exc:  # process crashed: propagate
-            done.set_exception(exc)
-            return
-        if not isinstance(waited, Future):
-            gen.close()
-            done.set_exception(
-                TypeError(f"process yielded {type(waited).__name__}, expected Future")
-            )
-            return
-        waited.add_callback(
-            lambda f: sim.call_soon_fire(step, None if f.exception else f._result, f.exception)
-        )
-
-    sim.call_soon_fire(step, None, None)
+    sim.call_soon_fire(_Process(sim, gen, done).step, None, None)
     return done

@@ -13,6 +13,7 @@ are a one-command check (``scripts/check_perf.sh``).
 
 from __future__ import annotations
 
+import gc
 import json
 import platform
 import time
@@ -151,6 +152,60 @@ def _bench_e2e_ops(duration: float) -> Callable[[], int]:
         workload.stop()
         run.ops = len(workload.all_records())  # type: ignore[attr-defined]
         return deployment.sim.events_processed
+
+    return run
+
+
+def cyclic_garbage(duration: float) -> tuple[int, int]:
+    """Unreachable objects a window of client ops leaves, and the op count.
+
+    Thirty nodes in ten groups under eight closed-loop clients (the
+    ledger's ``kv_mixed`` shape) run ``duration`` simulated seconds with
+    the collector off, then one full collection counts what reference
+    counting alone did not free.  A count, not a timing: the same on
+    every host and every run.
+    """
+    from repro.harness.builders import DeploymentParams, build_scatter_deployment
+    from repro.workloads import UniformKeys
+    from repro.workloads.driver import ClosedLoopWorkload
+
+    deployment = build_scatter_deployment(DeploymentParams(n_clients=8))
+    workload = ClosedLoopWorkload(
+        deployment.sim, deployment.clients, UniformKeys(400), read_fraction=0.5
+    )
+    workload.start()
+    deployment.sim.run_for(2.0)  # elections and cold caches are not steady state
+    before = len(workload.all_records())
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        deployment.sim.run_for(duration)
+        unreachable = gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+    return unreachable, len(workload.all_records()) - before
+
+
+def _bench_cyclic_garbage_per_op(duration: float) -> Callable[[], int]:
+    """Work left for the cyclic collector per client op, as a count.
+
+    ``scripts/check_perf.sh`` holds ``cyclic_garbage_per_op`` at exactly
+    0: a finished op is freed by reference count (``spawn``'s process
+    object), so the collector has nothing to find in the steady state.
+    The value is ops per host second over the same window.
+    """
+
+    def run() -> int:
+        t0 = time.perf_counter()
+        unreachable, ops = cyclic_garbage(duration)
+        run.self_timed = (ops, time.perf_counter() - t0)  # type: ignore[attr-defined]
+        run.extra = {  # type: ignore[attr-defined]
+            "cyclic_garbage_per_op": round(unreachable / max(1, ops), 3),
+            "unreachable_objects": unreachable,
+        }
+        return ops
 
     return run
 
@@ -416,6 +471,7 @@ def run_microbenchmarks(quick: bool = False, repeat: int = 3) -> dict:
     n_lookups = 20_000 if quick else 200_000
     n_lookup_groups = 334 if quick else 3_334  # ~1k / ~10k nodes at 3 members/group
     n_slots = 100 if quick else 500
+    garbage_duration = 5.0 if quick else 20.0
 
     specs: list[tuple[str, str, Callable[[], int]]] = [
         ("event_throughput", "events_per_s", _bench_event_throughput(n_events)),
@@ -428,6 +484,7 @@ def run_microbenchmarks(quick: bool = False, repeat: int = 3) -> dict:
         ("write_path_saturation", "events_per_s", _bench_write_path(n_writes)),
         ("wal_fsync_per_ack", "pairs_per_s", _bench_wal_fsync_per_ack(2_000)),
         ("accept_msgs_per_slot", "msgs_per_s", _bench_accept_msgs_per_slot(n_slots)),
+        ("cyclic_garbage_per_op", "ops_per_s", _bench_cyclic_garbage_per_op(garbage_duration)),
     ]
 
     benchmarks = []

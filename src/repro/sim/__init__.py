@@ -19,7 +19,7 @@ from repro.sim.latency import (
     UniformLatency,
     WanLatencyMatrix,
 )
-from repro.sim.loop import Simulator
+from repro.sim.loop import Simulator, paced_gc
 from repro.sim.network import NetworkStats, SimNetwork
 
 __all__ = [
@@ -33,4 +33,5 @@ __all__ = [
     "Simulator",
     "UniformLatency",
     "WanLatencyMatrix",
+    "paced_gc",
 ]

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import random
+from contextlib import contextmanager
 from heapq import heappop, heappush
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from repro.obs.runtime import current_tracer
 from repro.sim.events import EventHandle, EventQueue
@@ -33,6 +35,42 @@ from repro.sim.events import EventHandle, EventQueue
 # pool stops growing and entries fall back to the garbage collector.
 # Bounds memory at ~peak in-flight messages, not total messages.
 _MSG_POOL_CAP = 8192
+
+# Collector thresholds while a simulation runs or a deployment is built.
+# A finished op is freed by reference count (net/futures.py), so a young
+# collection finds nothing: it only promotes what happens to be alive,
+# and CPython answers a stream of promoted timers and heap entries with
+# full passes over a deployment that never changes (0.2 s each at 2,000
+# nodes).  Generation 0 was chosen by sweep on the ledger workloads
+# (seed 1, --seconds 4; harness.gc_share, which repeats to +-0.005).
+# CPython's 700 / 10,000 / 100,000 / 1,000,000 gave ring_2000 0.160 /
+# 0.053 / 0.025 / 0.025, kv_mixed 0.044 / 0.021 / 0.010 / 0.010 and
+# churn_recover 0.039 / 0.048 / 0.024 / 0.025, with peak RSS equal at
+# every setting: 100,000 is where it stops paying, and it bounds what a
+# reintroduced per-op cycle could pile up between passes to about
+# 10 MB.  Generations 1 and 2 keep CPython's defaults, so a full
+# collection still comes, once per hundred young ones; that is what
+# reclaims a retired replica in a long churn run.
+_PACED_GC = (100_000, 10, 10)
+
+
+@contextmanager
+def paced_gc() -> Iterator[None]:
+    """Run the body under ``_PACED_GC``; restore the caller's thresholds after.
+
+    Nested use (a handler calling ``run_until``, a builder warming its
+    deployment up) finds the paced thresholds already in force and
+    leaves them alone, so only the outermost scope restores.
+    """
+    caller = gc.get_threshold()
+    if caller == _PACED_GC:
+        yield
+        return
+    gc.set_threshold(*_PACED_GC)
+    try:
+        yield
+    finally:
+        gc.set_threshold(*caller)
 
 
 class Simulator:
@@ -189,38 +227,39 @@ class Simulator:
         # additively in ``finally``, so nested run loops (an event handler
         # calling run_until) and raising handlers stay consistent.
         processed = 0
-        try:
-            while heap and not self._stopped:
-                if processed >= limit:
-                    return
-                entry = pop(heap)
-                fn = entry[2]
-                if fn is None:
-                    continue
-                entry[2] = None
-                processed += 1
-                self._now = entry[0]
-                # Direct-dispatch delivery entries (7-slot; see module
-                # comment): call the handler through the specialized
-                # two-positional-arg path (fn(*args) compiles to the
-                # slow CALL_FUNCTION_EX), then complete the network's
-                # delivered accounting and recycle the entry.  Only
-                # after a clean return — a raising handler leaves the
-                # count untouched and the entry to the GC.
-                if size(entry) == 7:
-                    args = entry[3]
-                    fn(args[0], args[1])
-                    entry[4].delivered += 1
-                    if size(pool) < cap:
-                        args[0] = args[1] = None
-                        pool.append(entry)
-                else:
-                    fn(*entry[3])
-        finally:
-            queue._live -= processed
-            self._events_processed += processed
-            if self.tracer is not None:
-                self.tracer.metrics.inc("sim.events", processed)
+        with paced_gc():
+            try:
+                while heap and not self._stopped:
+                    if processed >= limit:
+                        return
+                    entry = pop(heap)
+                    fn = entry[2]
+                    if fn is None:
+                        continue
+                    entry[2] = None
+                    processed += 1
+                    self._now = entry[0]
+                    # Direct-dispatch delivery entries (7-slot; see module
+                    # comment): call the handler through the specialized
+                    # two-positional-arg path (fn(*args) compiles to the
+                    # slow CALL_FUNCTION_EX), then complete the network's
+                    # delivered accounting and recycle the entry.  Only
+                    # after a clean return — a raising handler leaves the
+                    # count untouched and the entry to the GC.
+                    if size(entry) == 7:
+                        args = entry[3]
+                        fn(args[0], args[1])
+                        entry[4].delivered += 1
+                        if size(pool) < cap:
+                            args[0] = args[1] = None
+                            pool.append(entry)
+                    else:
+                        fn(*entry[3])
+            finally:
+                queue._live -= processed
+                self._events_processed += processed
+                if self.tracer is not None:
+                    self.tracer.metrics.inc("sim.events", processed)
 
     def run_until(self, time: float) -> None:
         """Run events with timestamp <= ``time``; leave the clock at ``time``.
@@ -237,33 +276,34 @@ class Simulator:
         cap = _MSG_POOL_CAP
         size = len
         processed = 0
-        try:
-            while heap and not self._stopped:
-                entry = heap[0]
-                fn = entry[2]
-                if fn is None:
+        with paced_gc():
+            try:
+                while heap and not self._stopped:
+                    entry = heap[0]
+                    fn = entry[2]
+                    if fn is None:
+                        pop(heap)
+                        continue
+                    if entry[0] > time:
+                        break
                     pop(heap)
-                    continue
-                if entry[0] > time:
-                    break
-                pop(heap)
-                entry[2] = None
-                processed += 1
-                self._now = entry[0]
-                if size(entry) == 7:
-                    args = entry[3]
-                    fn(args[0], args[1])
-                    entry[4].delivered += 1
-                    if size(pool) < cap:
-                        args[0] = args[1] = None
-                        pool.append(entry)
-                else:
-                    fn(*entry[3])
-        finally:
-            queue._live -= processed
-            self._events_processed += processed
-            if self.tracer is not None:
-                self.tracer.metrics.inc("sim.events", processed)
+                    entry[2] = None
+                    processed += 1
+                    self._now = entry[0]
+                    if size(entry) == 7:
+                        args = entry[3]
+                        fn(args[0], args[1])
+                        entry[4].delivered += 1
+                        if size(pool) < cap:
+                            args[0] = args[1] = None
+                            pool.append(entry)
+                    else:
+                        fn(*entry[3])
+            finally:
+                queue._live -= processed
+                self._events_processed += processed
+                if self.tracer is not None:
+                    self.tracer.metrics.inc("sim.events", processed)
         if self._now < time:
             self._now = time
 

@@ -1,5 +1,7 @@
 """Unit tests for futures, processes, and the Node RPC layer."""
 
+import gc
+import weakref
 from dataclasses import dataclass
 
 import pytest
@@ -122,6 +124,113 @@ class TestSpawn:
         sim.run()
         with pytest.raises(TypeError):
             result.result()
+
+    def test_non_future_yield_closes_the_generator_first(self):
+        sim = Simulator()
+        seen = []
+
+        def proc():
+            try:
+                yield 42
+            finally:
+                seen.append("closed")
+
+        result = spawn(sim, proc())
+        result.add_callback(lambda f: seen.append(type(f.exception).__name__))
+        sim.run()
+        assert seen == ["closed", "TypeError"]
+
+    def test_exception_arrives_at_the_yield_point(self):
+        sim = Simulator()
+        first, second = Future(), Future()
+        trail = []
+
+        def proc():
+            trail.append("before")
+            try:
+                yield first
+                trail.append("not reached")
+            except RpcTimeout as exc:
+                trail.append(f"caught {exc}")
+            value = yield second
+            return value
+
+        result = spawn(sim, proc())
+        sim.run()
+        first.set_exception(RpcTimeout("t"))
+        sim.run()
+        assert trail == ["before", "caught t"] and not result.done
+        second.set_result("later")
+        sim.run()
+        assert result.result() == "later"
+
+    def test_resumes_are_loop_events_in_await_order(self):
+        """One event per spawn and per resume, queued when the awaited
+        future resolves, so a process interleaves with whatever else is
+        scheduled at that instant by sequence number alone."""
+        sim = Simulator()
+        gate = Future()
+        order = []
+
+        def proc(tag):
+            order.append(f"{tag} started")
+            value = yield gate
+            order.append(f"{tag} got {value}")
+
+        seq = sim._queue._seq
+        spawn(sim, proc("a"))
+        spawn(sim, proc("b"))
+        assert sim._queue._seq == seq + 2 and order == []
+        sim.call_soon_fire(order.append, "between")
+        sim.run()
+        assert order == ["a started", "b started", "between"]
+
+        seq = sim._queue._seq
+        gate.set_result(7)
+        assert sim._queue._seq == seq + 2 and len(order) == 3
+        sim.call_soon_fire(order.append, "after")
+        sim.run()
+        assert order[3:] == ["a got 7", "b got 7", "after"]
+
+    def test_already_resolved_future_still_resumes_through_the_loop(self):
+        sim = Simulator()
+        ready = Future()
+        ready.set_result(1)
+        order = []
+
+        def proc():
+            order.append((yield ready))
+
+        spawn(sim, proc())
+        sim.call_soon_fire(order.append, "queued first")
+        sim.step()  # the spawn event: the process reaches its yield
+        assert order == []
+        sim.run()
+        assert order == ["queued first", 1]
+
+    def test_finished_process_is_freed_by_reference_count(self):
+        """Nothing a process owns points back at its driver, so the
+        generator dies with its last step, without the collector."""
+        sim = Simulator()
+        f = Future()
+
+        def proc():
+            return (yield f)
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gen = proc()
+            alive = weakref.ref(gen)
+            result = spawn(sim, gen)
+            del gen
+            sim.schedule(1.0, f.set_result, 10)
+            sim.run()
+            assert result.result() == 10
+            assert alive() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class EchoNode(Node):
@@ -276,3 +385,12 @@ class TestNodeRpc:
         assert len(a._timers) > 256
         a.set_timer(1.0, lambda: None)
         assert len(a._timers) == 1
+
+    def test_fired_timers_do_not_pile_up(self):
+        """A node re-arming one timer (a heartbeat) keeps a handful of
+        handles, not hundreds of fired ones for the collector to walk."""
+        sim, net, a, b = self._cluster()
+        for _ in range(200):
+            a.set_timer(0.001, lambda: None)
+            sim.run_for(0.002)
+            assert len(a._timers) <= 33

@@ -26,6 +26,7 @@ BENCH_NAMES = {
     "write_path_saturation",
     "wal_fsync_per_ack",
     "accept_msgs_per_slot",
+    "cyclic_garbage_per_op",
 }
 
 
@@ -43,7 +44,7 @@ class TestMicrobenchmarks:
             assert bench["wall_s"] > 0
             assert bench["units_completed"] > 0
             assert bench["metric"] in (
-                "events_per_s", "msgs_per_s", "lookups_per_s", "pairs_per_s"
+                "events_per_s", "msgs_per_s", "lookups_per_s", "pairs_per_s", "ops_per_s"
             )
 
     def test_e2e_reports_ops(self, quick_report):
