@@ -111,14 +111,13 @@ class FuzzPlan:
     # replay exactly as recorded.
     repair: bool = False
     # Write-path throughput knobs (slot batching, pipeline flow control,
-    # accept coalescing, WAL group commit).  Sampled plans randomize them
-    # so acceptor-durability polices fsync coalescing under disk faults
-    # and power failures; old repro files deserialize to the historical
-    # defaults and replay exactly as recorded.
+    # accept coalescing).  Sampled plans randomize them so
+    # acceptor-durability polices batched acks under disk faults and
+    # power failures; old repro files deserialize to the historical
+    # defaults.
     batching: bool = False
     pipeline_depth: int = 0
     accept_coalescing: bool = False
-    fsync_coalesce: float = 0.0
     # Scale-out read path: linearizable follower reads plus round-robin
     # client read routing.  Sampled plans flip it on about half the
     # time so the fuzzer polices the grant/quorum-expansion protocol
@@ -299,7 +298,6 @@ def sample_plan(master_seed: int, iteration: int) -> FuzzPlan:
     batching = wp.random() < 0.5
     pipeline_depth = wp.choice([0, 0, 2, 4, 8])
     accept_coalescing = wp.random() < 0.5
-    fsync_coalesce = wp.choice([0.0, 0.0, 0.001, 0.002, 0.005])
 
     # Same trick for the read-path knob: its own derived stream, so the
     # write-path draws above (and every existing plan) are unchanged.
@@ -323,7 +321,6 @@ def sample_plan(master_seed: int, iteration: int) -> FuzzPlan:
         batching=batching,
         pipeline_depth=pipeline_depth,
         accept_coalescing=accept_coalescing,
-        fsync_coalesce=fsync_coalesce,
         follower_reads=follower_reads,
     )
 
@@ -352,12 +349,14 @@ def plan_to_dict(plan: FuzzPlan) -> dict[str, Any]:
         "batching": plan.batching,
         "pipeline_depth": plan.pipeline_depth,
         "accept_coalescing": plan.accept_coalescing,
-        "fsync_coalesce": plan.fsync_coalesce,
         "follower_reads": plan.follower_reads,
     }
 
 
 def plan_from_dict(data: dict[str, Any]) -> FuzzPlan:
+    # Keys no field has are ignored: a repro file written while the disk
+    # had a group-commit window carries ``fsync_coalesce``, and replays
+    # on the one-fsync-at-a-time disk every plan now runs.
     schedule = tuple(
         FaultEntry(e["time"], e["kind"], e["duration"], dict(e["params"]))
         for e in data["schedule"]
@@ -380,6 +379,5 @@ def plan_from_dict(data: dict[str, Any]) -> FuzzPlan:
         batching=data.get("batching", False),
         pipeline_depth=data.get("pipeline_depth", 0),
         accept_coalescing=data.get("accept_coalescing", False),
-        fsync_coalesce=data.get("fsync_coalesce", 0.0),
         follower_reads=data.get("follower_reads", False),
     )

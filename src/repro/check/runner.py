@@ -102,11 +102,7 @@ def run_plan(plan: FuzzPlan, bug: str | None = None) -> FuzzOutcome:
                     accept_coalescing=plan.accept_coalescing,
                     follower_reads=plan.follower_reads,
                 ),
-                storage=(
-                    StorageConfig(fsync_coalesce=plan.fsync_coalesce)
-                    if plan.storage
-                    else None
-                ),
+                storage=StorageConfig() if plan.storage else None,
             ),
             policy=policy,
         )

@@ -14,9 +14,7 @@ from typing import Any, Callable
 from repro.consensus.commands import Command
 from repro.consensus.messages import (
     Accept,
-    AcceptBatch,
     Accepted,
-    AcceptedBatch,
     AcceptNack,
     CatchupReply,
     CatchupRequest,
@@ -42,9 +40,7 @@ PAXOS_MESSAGE_TYPES = (
     Promise,
     PrepareNack,
     Accept,
-    AcceptBatch,
     Accepted,
-    AcceptedBatch,
     AcceptNack,
     Heartbeat,
     HeartbeatAck,
@@ -105,7 +101,7 @@ class PaxosHost(Node):
         self.applied: list[tuple[int, Command]] = []
         self._apply_fn = apply_fn
         if storage is not None:
-            self.disk = NodeDisk(node_id, storage, tracer=sim.tracer)
+            self.disk = NodeDisk(node_id, storage, tracer=sim.tracer, set_timer=self.set_timer)
         self.replica = PaxosReplica(
             replica_id=node_id,
             members=members,

@@ -35,29 +35,14 @@ class PrepareNack:
 
 @dataclass(frozen=True, slots=True)
 class Accept:
-    """Phase 2a for one slot; piggybacks the leader's commit index."""
+    """Phase 2a for a run of *contiguous* slots: slot ``start_slot + i``
+    carries ``commands[i]``.  Piggybacks the leader's commit index.
 
-    ballot: Ballot
-    slot: int
-    command: Command
-    commit_index: int
-
-
-@dataclass(frozen=True, slots=True)
-class Accepted:
-    ballot: Ballot
-    slot: int
-
-
-@dataclass(frozen=True, slots=True)
-class AcceptBatch:
-    """Phase 2a for several *contiguous* slots packed into one message.
-
-    Sent when ``PaxosConfig.accept_coalescing`` is on: slot ``start_slot
-    + i`` carries ``commands[i]``.  The receiver journals every covered
-    slot and answers with one :class:`AcceptedBatch` from a single fsync
-    completion, so a pipelined burst costs one network delivery (and one
-    durability barrier) per peer instead of one per slot.
+    A lone proposal is a run of one.  The receiver journals every
+    covered slot and answers with one :class:`Accepted` from a single
+    durability barrier, so a pipelined burst packed by
+    ``PaxosConfig.accept_coalescing`` costs one network delivery per
+    peer instead of one per slot.
     """
 
     ballot: Ballot
@@ -67,8 +52,8 @@ class AcceptBatch:
 
 
 @dataclass(frozen=True, slots=True)
-class AcceptedBatch:
-    """Phase 2b acks for every slot of an :class:`AcceptBatch` that was
+class Accepted:
+    """Phase 2b acks for every slot of an :class:`Accept` that was
     journaled durably (slots that failed their WAL append are omitted
     and covered by the leader's retry tick)."""
 

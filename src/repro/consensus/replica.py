@@ -10,7 +10,11 @@ machine.  The protocol follows the classic Multi-Paxos structure:
   (Accept/Accepted) with its peers while taking the acceptor step
   itself, locally and in parallel; a slot is chosen once a majority of
   the current configuration — the leader's own durable record plus
-  peer acks — accepts it.  Chosen slots are applied in order.
+  peer acks — accepts it.  Chosen slots are applied in order.  An
+  ``Accept`` carries a run of contiguous slots and an ``Accepted`` the
+  slots of it that were journaled; a lone proposal is a run of one, so
+  there is one acceptor step (``_accept``) and one ack count
+  (``_count_acks``) whatever the run's length or origin.
 - **Leases**: the leader renews a read lease with each heartbeat round
   that a majority acknowledges; while the lease is live (and the leader
   has committed a no-op in its own ballot — the read barrier) reads are
@@ -31,7 +35,9 @@ leadership state, mirroring a process that recovers its disk perfectly
 but forgets its role.  When a :class:`repro.storage` region is attached
 (``storage=`` constructor argument), durability is modelled for real:
 promises and accepts are journaled to a write-ahead log and acked only
-from the fsync-completion callback, choices are journaled lazily,
+from the completion of an fsync that covers them (the node disk runs
+one fsync at a time, see :meth:`repro.storage.disk.NodeDisk.enqueue_fsync`;
+without a region the ack is immediate), choices are journaled lazily,
 snapshots compact the WAL, and :meth:`on_host_restart` rebuilds all
 acceptor and application state from the snapshot plus the fsynced WAL
 suffix — anything the crash lost (power-failure semantics) is recovered
@@ -51,9 +57,7 @@ from repro.consensus.commands import CMD_BATCH, CMD_CONFIG, Command, ConfigChang
 from repro.consensus.log import PaxosLog
 from repro.consensus.messages import (
     Accept,
-    AcceptBatch,
     Accepted,
-    AcceptedBatch,
     AcceptNack,
     CatchupReply,
     CatchupRequest,
@@ -107,7 +111,6 @@ class PaxosConfig:
     # delay.  Keeps stalled leaders from retrying in lockstep under fault
     # storms without slowing the first retransmission.
     retry_cap: float = 2.0
-    catchup_batch: int = 200
     # Compact the log once this many applied entries accumulate beyond
     # the last snapshot; 0 disables compaction.  Compaction also needs a
     # snapshot_fn, so replicas built without one are unaffected.  The
@@ -121,10 +124,6 @@ class PaxosConfig:
     batch: bool = False
     batch_window: float = 0.002
     batch_max: int = 16
-    # Durable-write latency: an acceptor must persist its promise or
-    # accepted value before answering, so replies to Prepare and Accept
-    # are delayed by this much (models fsync; 0 = in-memory).
-    disk_write_latency: float = 0.0
     # Pipeline flow control: bound on in-flight unchosen slots at the
     # leader.  Proposals beyond the window wait in the admission queue
     # and are issued as commits drain, so bursty load fills the pipe
@@ -132,10 +131,11 @@ class PaxosConfig:
     # the bounded in-flight window).  0 = unbounded (historical
     # behavior).
     pipeline_depth: int = 0
-    # Pack Accepts for contiguous slots to the same peer into one
-    # AcceptBatch (and the acks into one AcceptedBatch), cutting
-    # per-slot network deliveries on the pipelined hot path.  Off by
-    # default (historical per-slot messages).
+    # Pack the slots issued in one event turn into one Accept per
+    # contiguous run and peer (and their acks into one Accepted),
+    # cutting per-slot network deliveries on the pipelined hot path.
+    # Off by default: every slot is broadcast as it is issued, a run
+    # of one.
     accept_coalescing: bool = False
     # Linearizable follower reads (scale-out read path).  The leader
     # piggybacks per-member read grants plus its commit frontier on
@@ -175,6 +175,9 @@ class _PendingSlot:
 
 # Shared empty key set for write classifiers and conflict windows.
 _NO_KEYS: frozenset = frozenset()
+
+# Chosen entries per CatchupReply; a lagging peer asks again for the rest.
+CATCHUP_BATCH = 200
 
 
 class PaxosReplica:
@@ -260,7 +263,7 @@ class PaxosReplica:
         self._batch_flush_timer: Any = None
 
         # Accept-coalescing outbox (leader only): slots issued since the
-        # last flush, packed into contiguous-run AcceptBatches.
+        # last flush, packed into one Accept per contiguous run.
         self._accept_outbox: list[int] = []
         self._accept_flush_pending = False
 
@@ -323,9 +326,9 @@ class PaxosReplica:
         return self.storage.append_promise(ballot)
 
     def _fsync_then_promise(self, dst: str, msg: Promise) -> None:
-        """Ack only once the fsync covering the journaled promise completes.
+        """Ack only once an fsync covering the journaled promise completes.
 
-        The timer is crash-guarded, so a crash inside the window means
+        The disk's timer is crash-guarded, so a crash before then means
         no ack was sent — consistent with the un-fsynced record being
         lost to the power failure.
         """
@@ -335,31 +338,7 @@ class PaxosReplica:
             storage.note_acked_promise(msg.ballot)
             self.transport.send(dst, msg)
 
-        self._after_fsync(on_durable)
-
-    def _after_fsync(self, on_durable: Callable[[], None]) -> None:
-        """Run ``on_durable`` once an fsync covering the WAL tail completes.
-
-        With ``fsync_coalesce`` off this is the historical path: a
-        private timer per ack.  With it on, the ack joins the node
-        disk's group-commit batch and fires from its single completion
-        callback; either way the timer is crash-guarded, so a power
-        failure withholds every ack whose record the crash threw away.
-        """
-        storage = self.storage
-        upto = storage.current_seq()
-        disk = storage.disk
-        if disk.config.fsync_coalesce > 0:
-            disk.enqueue_fsync(storage, upto, self.transport.set_timer, on_durable)
-            return
-
-        def complete() -> None:
-            if not storage.fsync_ok():
-                return  # IO error at fsync time: record stays volatile, no ack
-            storage.mark_synced(upto)
-            on_durable()
-
-        self.transport.set_timer(storage.fsync_delay(), complete)
+        storage.disk.enqueue_fsync(storage, on_durable)
 
     def _recover_from_storage(self) -> None:
         """Rebuild all state from disk: snapshot, then WAL replay.
@@ -465,7 +444,7 @@ class PaxosReplica:
         had committed when contact was re-established.
         """
         kind = type(msg)
-        if kind in (Heartbeat, Accept, AcceptBatch):
+        if kind in (Heartbeat, Accept):
             self._note_ballot(msg.ballot)
             self.leader_hint = src
             self.last_leader_contact = self.transport.now
@@ -874,7 +853,7 @@ class PaxosReplica:
                 return  # disk IO error: cannot promise durably, stay silent
             self._fsync_then_promise(src, reply)
             return
-        self._after_disk_write(self.transport.send, src, reply)
+        self.transport.send(src, reply)
 
     def _on_promise(self, src: str, msg: Promise) -> None:
         if not self._campaigning or msg.ballot != self.ballot:
@@ -1014,14 +993,14 @@ class PaxosReplica:
         if self.config.accept_coalescing:
             # Defer the broadcast to the end of this event turn so every
             # slot issued in it (a drained queue, a flushed batch burst)
-            # packs into contiguous-run AcceptBatches per peer.
+            # packs into one Accept per contiguous run and peer.
             self._accept_outbox.append(slot)
             if not self._accept_flush_pending:
                 self._accept_flush_pending = True
                 self.transport.set_timer(0.0, self._flush_accept_outbox)
             return
         run = [(slot, command)]
-        self._send_peers(self._pack_run(run))
+        self._send_peers(self._accept_msg(run))
         self._accept_own(run)
 
     def _flush_accept_outbox(self) -> None:
@@ -1035,7 +1014,7 @@ class PaxosReplica:
         for run in _contiguous_runs(live):
             if not self.is_leader or self.retired:
                 return  # also mid-loop: our own vote can choose a slot that retires us
-            self._send_peers(self._pack_run(run))
+            self._send_peers(self._accept_msg(run))
             self._accept_own(run)
 
     def _send_peers(self, msg: Any) -> None:
@@ -1043,17 +1022,9 @@ class PaxosReplica:
             if member != self.replica_id:
                 self.transport.send(member, msg)
 
-    def _pack_run(self, run: list[tuple[int, Command]]) -> Any:
-        """One wire message for a run of contiguous (slot, command) pairs."""
-        if len(run) == 1:
-            slot, command = run[0]
-            return Accept(
-                ballot=self.ballot,
-                slot=slot,
-                command=command,
-                commit_index=self.log.commit_index,
-            )
-        return AcceptBatch(
+    def _accept_msg(self, run: list[tuple[int, Command]]) -> Accept:
+        """The wire message for a run of contiguous (slot, command) pairs."""
+        return Accept(
             ballot=self.ballot,
             start_slot=run[0][0],
             commands=tuple(command for _slot, command in run),
@@ -1085,10 +1056,11 @@ class PaxosReplica:
 
         Records and journals every slot, then calls ``ack(slots)`` from a
         single durability barrier: after the fsync covering the records
-        (when the ledger also notes them), or after the stand-in disk
-        write.  Slots already compacted here are chosen and applied, so
-        they are acked without a record; slots whose append failed (IO
-        error) are left out, and the leader's retry tick covers them.
+        (when the ledger also notes them), or at once when there is no
+        storage region.  Slots already compacted here are chosen and
+        applied, so they are acked without a record; slots whose append
+        failed (IO error) are left out, and the leader's retry tick
+        covers them.
         Returns the slots whose ack now waits on the WAL.
         """
         storage = self.storage
@@ -1106,12 +1078,9 @@ class PaxosReplica:
                 journaled.append((slot, command))
         waiting = [slot for slot, _command in journaled]
         slots = tuple(compacted + waiting)
-        if not journaled:
-            if compacted:
+        if storage is None or not journaled:
+            if slots:
                 ack(slots)
-            return []
-        if storage is None:
-            self._after_disk_write(ack, slots)
             return []
 
         def on_durable() -> None:
@@ -1119,44 +1088,22 @@ class PaxosReplica:
                 storage.note_acked_accept(slot, ballot, command_label(command))
             ack(slots)
 
-        self._after_fsync(on_durable)
+        storage.disk.enqueue_fsync(storage, on_durable)
         return waiting
 
     def _on_accept(self, src: str, msg: Accept) -> None:
-        self._on_accept_run(
-            src, msg, [(msg.slot, msg.command)], lambda slots: Accepted(msg.ballot, msg.slot)
-        )
-
-    def _on_accept_batch(self, src: str, msg: AcceptBatch) -> None:
-        """Unpack a coalesced Accept run: journal every covered slot, then
-        answer with one AcceptedBatch from a single durability barrier."""
-        run = list(enumerate(msg.commands, msg.start_slot))
-        self._on_accept_run(src, msg, run, lambda slots: AcceptedBatch(msg.ballot, slots))
-
-    def _on_accept_run(
-        self,
-        src: str,
-        msg: Accept | AcceptBatch,
-        run: list[tuple[int, Command]],
-        reply: Callable[[tuple[int, ...]], Any],
-    ) -> None:
+        """Journal every slot of the run, then answer with one Accepted
+        from a single durability barrier."""
         ballot = msg.ballot
         self._note_ballot(ballot)
         if ballot < self.promised:
-            self.transport.send(src, AcceptNack(ballot, run[0][0], self.promised))
+            self.transport.send(src, AcceptNack(ballot, msg.start_slot, self.promised))
             return
         self._observe_other_leader(src, ballot)
         self.promised = ballot
-        self._accept(ballot, run, lambda slots: self.transport.send(src, reply(slots)))
+        run = list(enumerate(msg.commands, msg.start_slot))
+        self._accept(ballot, run, lambda slots: self.transport.send(src, Accepted(ballot, slots)))
         self._learn_commit_index(src, ballot, msg.commit_index)
-
-    def _after_disk_write(self, fn: Callable[..., None], *args: Any) -> None:
-        """Run ``fn`` after the modelled durable write completes."""
-        disk = self.config.disk_write_latency
-        if disk <= 0:
-            fn(*args)
-        else:
-            self.transport.set_timer(disk, fn, *args)
 
     def _observe_other_leader(self, src: str, ballot: Ballot) -> None:
         """A higher-or-equal ballot from another node means we follow it."""
@@ -1167,9 +1114,6 @@ class PaxosReplica:
             self.last_leader_contact = self.transport.now
 
     def _on_accepted(self, src: str, msg: Accepted) -> None:
-        self._count_acks(src, msg.ballot, (msg.slot,))
-
-    def _on_accepted_batch(self, src: str, msg: AcceptedBatch) -> None:
         self._count_acks(src, msg.ballot, msg.slots)
 
     def _count_acks(self, src: str, ballot: Ballot, slots: tuple[int, ...]) -> None:
@@ -1403,7 +1347,7 @@ class PaxosReplica:
         split = _contiguous_runs if self.config.accept_coalescing else _single_runs
         for member, pairs in need.items():
             for run in split(pairs):
-                self.transport.send(member, self._pack_run(run))
+                self.transport.send(member, self._accept_msg(run))
         for run in split(own):
             if self.is_leader:  # our vote can choose a slot that retires us
                 self._accept_own(run)
@@ -1466,7 +1410,7 @@ class PaxosReplica:
                     ),
                 )
             return
-        to_slot = min(msg.from_slot + self.config.catchup_batch - 1, self.log.commit_index)
+        to_slot = min(msg.from_slot + CATCHUP_BATCH - 1, self.log.commit_index)
         entries = tuple(
             (slot, value) for slot, value in self.log.chosen_range(msg.from_slot, to_slot)
         )
@@ -1574,8 +1518,6 @@ PaxosReplica._HANDLERS = {
     PrepareNack: PaxosReplica._on_prepare_nack,
     Accept: PaxosReplica._on_accept,
     Accepted: PaxosReplica._on_accepted,
-    AcceptBatch: PaxosReplica._on_accept_batch,
-    AcceptedBatch: PaxosReplica._on_accepted_batch,
     AcceptNack: PaxosReplica._on_accept_nack,
     Heartbeat: PaxosReplica._on_heartbeat,
     HeartbeatAck: PaxosReplica._on_heartbeat_ack,

@@ -203,7 +203,7 @@ class ScatterClient(Node):
                 target = self._next_target(backups, exclude=target)
                 if target is None or visits.get(target, 0) >= 3:
                     target = self._seed()
-                    yield _sleep(self.sim, busy_retry.next())
+                    yield _sleep(self.sim, busy_retry.next(), deadline)
                 continue
             visits[target] = visits.get(target, 0) + 1
             record.attempts += 1
@@ -218,7 +218,7 @@ class ScatterClient(Node):
                 # clients stalled on the same dead node spread out instead
                 # of stampeding the next member in lockstep.
                 target = self._next_target(backups, exclude=target)
-                yield _sleep(self.sim, net_retry.next())
+                yield _sleep(self.sim, net_retry.next(), deadline)
                 continue
             record.hops += 1
             net_retry.reset()
@@ -243,12 +243,12 @@ class ScatterClient(Node):
                         # stale knowledge somewhere.  Try another member,
                         # and pause so fresher state can propagate.
                         target = self._next_target(backups, exclude=asked)
-                        yield _sleep(self.sim, busy_retry.next())
+                        yield _sleep(self.sim, busy_retry.next(), deadline)
                 else:
                     target = self._seed()
                 continue
             if resp.status == "busy":
-                yield _sleep(self.sim, busy_retry.next())
+                yield _sleep(self.sim, busy_retry.next(), deadline)
                 refreshed = self._best_info(op.key)
                 if refreshed is not None:
                     target, backups = refreshed.leader_hint, list(refreshed.members)
@@ -360,7 +360,11 @@ class ScatterClient(Node):
         return min(groups, key=lambda g: ring_distance(g.range.lo, key))
 
 
-def _sleep(sim: Simulator, delay: float) -> Future:
+def _sleep(sim: Simulator, delay: float, deadline: float) -> Future:
+    """A backoff pause that never outlasts the op's deadline, so an op
+    resolves within ``op_timeout`` plus one RPC timeout.  The RPC itself
+    is not cut short: an attempt sent just before the deadline may still
+    succeed."""
     future = Future()
-    sim.schedule(delay, future.set_result, None)
+    sim.schedule(max(0.0, min(delay, deadline - sim.now)), future.set_result, None)
     return future

@@ -141,7 +141,9 @@ class ScatterNode(Node):
         self.config = config or ScatterConfig()
         self.policy = policy or ScatterPolicy()
         if self.config.storage is not None:
-            self.disk = NodeDisk(node_id, self.config.storage, tracer=sim.tracer)
+            self.disk = NodeDisk(
+                node_id, self.config.storage, tracer=sim.tracer, set_timer=self.set_timer
+            )
         self.groups: dict[str, GroupReplica] = {}
         self.forwarding: dict[str, tuple[GroupInfo, ...]] = {}
         self.txn_outcomes: dict[str, tuple[TxnDecision, dict]] = {}

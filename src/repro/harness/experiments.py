@@ -1304,7 +1304,7 @@ def run_e18(quick: bool = True, seed: int = 20) -> ExperimentResult:
 
 
 # ---------------------------------------------------------------------------
-# E19: write-path saturation — batching x pipelining x group commit
+# E19: write-path saturation — batching x pipelining
 # ---------------------------------------------------------------------------
 def _total_fsyncs(system) -> int:
     """Sum of completed fsyncs across every region of every node disk."""
@@ -1321,48 +1321,48 @@ def run_e19(quick: bool = True, seed: int = 19) -> ExperimentResult:
 
     The cost model makes per-message and per-fsync constants the
     bottleneck (msg_service_time on the CPU queue, fsync_latency on the
-    disk), which is exactly what slot batching, accept coalescing, and
-    WAL group commit amortize.  Every cell runs the linearizability
-    checker; the throughput win must come at an unchanged consistency
-    bar.
+    disk), which is exactly what slot batching and accept coalescing
+    amortize; the disk runs one fsync at a time in every cell, so each
+    fsync covers whatever was appended during the one before it.
+    Every cell runs the linearizability checker; the throughput win
+    must come at an unchanged consistency bar.
     """
     result = ExperimentResult(
         experiment="E19",
-        title="E19: write-path saturation — batch size x pipeline depth x fsync coalescing",
+        title="E19: write-path saturation — batch size x pipeline depth",
         columns=[
-            "batch", "pipe", "coalesce_ms", "ops_per_s", "p50_ms", "p99_ms",
+            "batch", "pipe", "ops_per_s", "p50_ms", "p99_ms",
             "p999_ms", "msgs_per_op", "fsyncs_per_op", "violations",
         ],
         notes=(
             "write-heavy closed loop (10% reads) against 3 groups with "
-            "1 ms CPU per group message and 2 ms fsyncs: the baseline pays "
-            "per-slot messages and per-ack fsyncs; batch=N packs N puts "
-            "into one slot, pipe=D keeps D slots in flight (with accept "
-            "coalescing packing their Accepts per peer), coalesce_ms folds "
-            "a window of WAL appends into one group-commit fsync"
+            "1 ms CPU per group message and 2 ms fsyncs, one fsync at a "
+            "time per node disk: the baseline pays per-slot messages; "
+            "batch=N packs N puts into one slot, pipe=D keeps D slots in "
+            "flight (with accept coalescing packing their Accepts per "
+            "peer); an fsync covers what was appended during the one "
+            "before it"
         ),
     )
-    # (batch_max, pipeline_depth, accept_coalescing, fsync_coalesce ms).
+    # (batch_max, pipeline_depth, accept_coalescing).
     # batch 0 = batching off; pipe 0 = unbounded in-flight slots.
     cells = [
-        (0, 0, False, 0.0),   # defaults: the seed write path
-        (16, 0, False, 0.0),  # slot batching only
-        (0, 8, True, 0.0),    # pipelining + accept coalescing only
-        (16, 8, True, 0.0),   # full stack minus group commit
-        (16, 8, True, 2.0),   # full stack
+        (0, 0, False),   # defaults: the seed write path
+        (16, 0, False),  # slot batching only
+        (0, 8, True),    # pipelining + accept coalescing only
+        (16, 8, True),   # full stack
     ]
     if not quick:
         cells += [
-            (4, 0, False, 0.0),
-            (16, 4, True, 0.0),
-            (16, 8, True, 1.0),
-            (16, 16, True, 2.0),
+            (4, 0, False),
+            (16, 4, True),
+            (16, 16, True),
         ]
     duration = 12.0 if quick else 30.0
     # Both scales: 48 closed-loop clients cap the batched cells near
     # 48 / 22.6 ms = 2,120 ops/s, under 2x the defaults cell.
     n_clients = 64
-    for batch_max, pipe, coalesce, coalesce_ms in cells:
+    for batch_max, pipe, coalesce in cells:
         paxos = PaxosConfig(
             heartbeat_interval=0.15,
             election_timeout=0.7,
@@ -1375,10 +1375,7 @@ def run_e19(quick: bool = True, seed: int = 19) -> ExperimentResult:
             pipeline_depth=pipe,
             accept_coalescing=coalesce,
         )
-        config = experiment_scatter_config(
-            paxos=paxos,
-            storage=StorageConfig(fsync_coalesce=coalesce_ms / 1000.0),
-        )
+        config = experiment_scatter_config(paxos=paxos, storage=StorageConfig())
         config.op_service_time = 0.0002
         config.msg_service_time = 0.001
         params = DeploymentParams(n_nodes=9, n_groups=3, n_clients=n_clients, seed=seed)
@@ -1402,7 +1399,6 @@ def run_e19(quick: bool = True, seed: int = 19) -> ExperimentResult:
         result.add(
             batch=batch_max,
             pipe=pipe,
-            coalesce_ms=coalesce_ms,
             ops_per_s=metrics["completed"] / duration,
             p50_ms=1000 * metrics["latency_p50"],
             p99_ms=1000 * metrics["latency_p99"],
@@ -1614,7 +1610,7 @@ EXPERIMENT_TITLES = {
     "E16": "availability and recovery under gray failures vs clean crashes",
     "E17": "crash recovery cost vs snapshot threshold (durable storage)",
     "E18": "data survival under permanent node loss (self-healing vs baselines)",
-    "E19": "write-path saturation: batching x pipelining x fsync coalescing",
+    "E19": "write-path saturation: batching x pipelining on a group-committed WAL",
     "E20": "read scale-out: follower reads vs leader-only, by replica count",
     "E21": "large-ring scale-out: throughput and routing at thousands of nodes",
 }

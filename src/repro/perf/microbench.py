@@ -327,11 +327,11 @@ def _bench_pooled_send_deliver(n: int) -> Callable[[], int]:
 
 
 def _bench_write_path(n: int) -> Callable[[], int]:
-    """Write-path saturation: a 3-replica Paxos group with the full
-    throughput stack on (slot batching, pipelined slots, accept
-    coalescing, WAL group commit) chewing through ``n`` closed-pipe
-    proposals at concurrency 64.  Guards the hot path the write-path
-    optimizations touch; returns simulator events processed.
+    """Write-path saturation: a 3-replica Paxos group on storage with
+    the full throughput stack on (slot batching, pipelined slots,
+    accept coalescing) chewing through ``n`` closed-pipe proposals at
+    concurrency 64.  Guards the hot path the write-path optimizations
+    touch; returns simulator events processed.
     """
 
     def run() -> int:
@@ -353,9 +353,7 @@ def _bench_write_path(n: int) -> Callable[[], int]:
             pipeline_depth=8,
             accept_coalescing=True,
         )
-        hosts = build_cluster(
-            sim, net, n=3, config=config, storage=StorageConfig(fsync_coalesce=0.002)
-        )
+        hosts = build_cluster(sim, net, n=3, config=config, storage=StorageConfig())
         sim.run_for(0.5)  # let the initial leader settle
         leader = hosts[0]
         issued = [0]
@@ -398,7 +396,7 @@ def _bench_accept_msgs_per_slot(n: int) -> Callable[[], int]:
             future = hosts[0].propose(Command.app(i))
             sim.run_for(0.01)
             chosen += future.done and future.exception is None
-        family = ("Accept", "AcceptBatch", "Accepted", "AcceptedBatch")
+        family = ("Accept", "Accepted")
         return sum(kind in family for _src, _dst, kind in sent), chosen
 
     def run() -> int:

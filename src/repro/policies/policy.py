@@ -140,8 +140,11 @@ class ScatterPolicy:
         """(node, donor group) for a pull-in repair migrate, or None.
 
         A donor must sit strictly above the repair floor so donating
-        cannot drag *it* below the floor, and must have a member not
-        already in the fragile group.  Selection is deterministic: the
+        cannot drag *it* below the floor, counting only its members that
+        are not already in the fragile group: a view that lists one of
+        ours is stale by exactly that member (it migrated here), and a
+        donor picked on the strength of it refuses, every cooldown,
+        until the view is refreshed.  Selection is deterministic: the
         largest (then lexicographically-first) donor, and its first
         spare member in sorted order — two leaders observing the same
         overlay state pick the same donor, so duplicate repairs target
@@ -151,10 +154,10 @@ class ScatterPolicy:
         ours = set(group.members)
         candidates: list[tuple["GroupInfo", str]] = []
         for info in known:
-            if info.gid == group.gid or len(info.members) <= floor:
+            if info.gid == group.gid:
                 continue
             spare = sorted(m for m in info.members if m not in ours)
-            if spare:
+            if len(spare) > floor:
                 candidates.append((info, spare[0]))
         if not candidates:
             return None

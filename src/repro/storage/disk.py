@@ -11,6 +11,12 @@ deliberately logical — records are Python objects, not bytes — but the
   ack a Promise/Accepted only from their fsync-completion callback, so
   "acked" always implies "durable" (unless a demo bug breaks exactly
   that link).
+- **One fsync at a time.**  The disk is one device shared by all of the
+  node's regions: an ack that reaches it idle starts an fsync, an ack
+  that arrives while one is in flight waits and rides the next, which
+  the completion starts at once (:meth:`NodeDisk.enqueue_fsync`).  That
+  is group commit with no window to tune: the batch is whatever arrived
+  during the previous fsync, so a busier or slower disk batches more.
 - **Power failure loses the un-fsynced suffix.**  ``Node.crash()``
   calls :meth:`NodeDisk.power_failure`, which drops every record newer
   than the last completed fsync.
@@ -51,24 +57,14 @@ def command_label(command: Any) -> str:
 class StorageConfig:
     """Knobs of the simulated durable-storage model."""
 
-    # Time from a WAL append to its covering fsync completing (and the
-    # ack being sent).  Plays the role PaxosConfig.disk_write_latency
-    # played for the fictional durability model; kept small but nonzero
-    # so a lost-suffix window actually exists between append and fsync.
+    # How long one fsync takes.  Kept small but nonzero so a lost-suffix
+    # window actually exists between an append and the completion of
+    # the fsync that covers it.
     fsync_latency: float = 0.002
-    # Group commit.  0 (the default) keeps the historical model: every
-    # ack schedules its own fsync timer.  A positive window makes the
-    # node's disk coalesce every append that lands within the window —
-    # across all of the node's regions — into ONE fsync, fanning the
-    # Promise/Accepted acks out from the single completion callback
-    # (see NodeDisk.enqueue_fsync).
-    fsync_coalesce: float = 0.0
 
     def __post_init__(self) -> None:
         if self.fsync_latency < 0:
             raise ValueError("fsync_latency must be >= 0")
-        if self.fsync_coalesce < 0:
-            raise ValueError("fsync_coalesce must be >= 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,13 +162,6 @@ class ReplicaStorage:
         just makes recovery local and fast in the common case.
         """
         self._append(REC_CHOSEN, slot, None, command)
-
-    def fsync_delay(self) -> float:
-        return self.disk.config.fsync_latency * self.disk.fsync_factor
-
-    def fsync_ok(self) -> bool:
-        """Whether an fsync completing now succeeds (IO-error window)."""
-        return not self.disk.io_error
 
     def mark_synced(self, seq: int) -> None:
         """An fsync covering records up to ``seq`` completed.
@@ -305,6 +294,7 @@ class NodeDisk:
         node_id: str,
         config: StorageConfig | None = None,
         tracer: Any = None,
+        set_timer: Callable[..., Any] | None = None,
     ) -> None:
         self.node_id = node_id
         self.config = config or StorageConfig()
@@ -317,50 +307,52 @@ class NodeDisk:
         # repro.obs tracer if the host's simulator has one bound (None =
         # the disabled fast path; see wal.appends / wal.fsyncs metrics).
         self.tracer = tracer
-        # Group-commit state (fsync_coalesce > 0): acks whose records
-        # landed since the last fsync, waiting for the coalescing window
-        # to close.  Entries are (region, covered_seq, on_durable).
-        self._commit_queue: list[tuple[ReplicaStorage, int, Callable[[], None]]] = []
-        self._commit_armed = False
+        # The host node's crash-guarded timer: a power failure cancels
+        # the running fsync's completion, so no ack escapes for a record
+        # the crash threw away.  Only enqueue_fsync needs it.
+        self._set_timer = set_timer
+        # The durability barrier.  ``_in_flight`` is the batch of acks
+        # the running fsync covers (None = the disk is idle) and
+        # ``_waiting`` the acks that arrived since it started.  Entries
+        # are (region, covered_seq, on_durable).
+        self._in_flight: list[tuple[ReplicaStorage, int, Callable[[], None]]] | None = None
+        self._waiting: list[tuple[ReplicaStorage, int, Callable[[], None]]] = []
 
     # ------------------------------------------------------------------
-    # Group commit (fsync_coalesce > 0)
+    # The durability barrier: one fsync at a time
     # ------------------------------------------------------------------
-    def enqueue_fsync(
-        self,
-        region: ReplicaStorage,
-        upto: int,
-        set_timer: Callable[..., Any],
-        on_durable: Callable[[], None],
-    ) -> None:
-        """Fold one append's ack into the disk-wide group-commit batch.
+    def enqueue_fsync(self, region: ReplicaStorage, on_durable: Callable[[], None]) -> None:
+        """Call ``on_durable`` once an fsync covering ``region``'s WAL as
+        it stands now has completed.
 
-        The first enqueue after an idle period arms one timer covering
-        the coalescing window plus the fsync itself; every ack landing
-        before it fires rides the same barrier.  ``set_timer`` must be
-        the host node's crash-guarded timer, so a power failure inside
-        the window silently discards the whole batch — no ack escapes
-        for a record the crash threw away (``power_failure`` also drops
-        the queued acks along with the un-fsynced suffix).
+        An idle disk starts that fsync at once.  A busy one makes the
+        ack wait: the running fsync was issued before this append, so it
+        does not cover it, and the ack rides the next one with everything
+        else that arrived meanwhile, from any region.
         """
-        self._commit_queue.append((region, upto, on_durable))
-        if not self._commit_armed:
-            self._commit_armed = True
-            delay = self.config.fsync_coalesce + self.config.fsync_latency * self.fsync_factor
-            set_timer(delay, self._complete_group_fsync)
+        self._waiting.append((region, region.current_seq(), on_durable))
+        if self._in_flight is None:
+            self._start_fsync()
 
-    def _complete_group_fsync(self) -> None:
-        """The batch's single fsync finished: mark durable, fan acks out."""
-        self._commit_armed = False
-        batch, self._commit_queue = self._commit_queue, []
-        if self.io_error:
-            return  # the whole batch stays volatile; no acks, leaders retry
-        high: dict[str, int] = {}
-        for region, upto, _cb in batch:
-            if upto > high.get(region.gid, -1):
-                high[region.gid] = upto
-        for gid, upto in high.items():
-            self.regions[gid].mark_synced(upto)
+    def _start_fsync(self) -> None:
+        self._in_flight, self._waiting = self._waiting, []
+        self._set_timer(self.config.fsync_latency * self.fsync_factor, self._complete_fsync)
+
+    def _complete_fsync(self) -> None:
+        """The running fsync finished: start the next, mark durable, fan
+        the acks out."""
+        batch, self._in_flight = self._in_flight, None
+        if self._waiting:
+            self._start_fsync()
+        if batch is None or self.io_error:
+            # Power failure took the batch, or the fsync failed: its
+            # records stay volatile, no ack is sent, and leaders retry.
+            return
+        # A region's sequence numbers only grow, so its last entry in
+        # the batch covers its earlier ones.
+        covered = {region: upto for region, upto, _on_durable in batch}
+        for region, upto in covered.items():
+            region.mark_synced(upto)
         for _region, _upto, on_durable in batch:
             on_durable()
 
@@ -372,11 +364,11 @@ class NodeDisk:
         return region
 
     def power_failure(self) -> None:
-        # Acks queued behind the in-flight group commit die with the
-        # suffix; the crash-guarded timer never fires, and re-arming is
-        # reset here so post-recovery appends start a fresh batch.
-        self._commit_queue.clear()
-        self._commit_armed = False
+        # The acks of the running fsync and of the waiting batch die with
+        # the suffix; the crash-guarded completion never fires, and the
+        # disk is idle again for the appends that follow recovery.
+        self._in_flight = None
+        self._waiting.clear()
         for region in self.regions.values():
             region.power_failure()
 

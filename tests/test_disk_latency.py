@@ -5,6 +5,7 @@ import pytest
 from repro.consensus import Command, PaxosConfig
 from repro.consensus.harness import build_cluster
 from repro.sim import ConstantLatency, SimNetwork, Simulator
+from repro.storage.disk import StorageConfig
 
 
 def commit_latency(disk: float, n_ops: int = 20, seed: int = 3) -> float:
@@ -13,11 +14,10 @@ def commit_latency(disk: float, n_ops: int = 20, seed: int = 3) -> float:
         election_timeout=0.5,
         lease_duration=0.35,
         retry_interval=0.3,
-        disk_write_latency=disk,
     )
     sim = Simulator(seed=seed)
     net = SimNetwork(sim, latency=ConstantLatency(0.005))
-    hosts = build_cluster(sim, net, n=3, config=config)
+    hosts = build_cluster(sim, net, n=3, config=config, storage=StorageConfig(fsync_latency=disk))
     sim.run_for(1.5)
     latencies = []
     for i in range(n_ops):
@@ -48,11 +48,12 @@ class TestDiskLatency:
             heartbeat_interval=0.1,
             election_timeout=0.5,
             lease_duration=0.35,
-            disk_write_latency=0.003,
         )
         sim = Simulator(seed=4)
         net = SimNetwork(sim, latency=ConstantLatency(0.005))
-        hosts = build_cluster(sim, net, n=3, config=config)
+        hosts = build_cluster(
+            sim, net, n=3, config=config, storage=StorageConfig(fsync_latency=0.003)
+        )
         sim.run_for(1.5)
         futures = [hosts[0].propose(Command.app(i)) for i in range(15)]
         sim.run_for(5.0)

@@ -1,0 +1,38 @@
+"""The perf ledger (benchmarks/ledger/) may not be edited by a change it
+measures, so every name it imports from ``repro`` is part of the
+program's contract: moving or renaming one makes the benchmark's worker
+exit non-zero at the gate.  This fails in tier-1 instead."""
+
+from __future__ import annotations
+
+import ast
+import importlib
+from pathlib import Path
+
+STACK = Path(__file__).resolve().parent.parent / "benchmarks" / "ledger" / "stack.py"
+
+
+def _repro_imports(tree: ast.Module) -> list[tuple[str, str | None]]:
+    """``(module, name)`` of every ``repro`` import; name None = the module."""
+    found: list[tuple[str, str | None]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(a.name, None) for a in node.names if a.name.split(".")[0] == "repro"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "repro":
+            found += [(node.module, a.name) for a in node.names]
+    return found
+
+
+def test_every_name_the_ledger_imports_from_repro_exists():
+    imports = _repro_imports(ast.parse(STACK.read_text()))
+    assert ("repro.consensus.replica", "PaxosConfig") in imports  # the parse found them
+    missing = []
+    for module, name in imports:
+        try:
+            imported = importlib.import_module(module)
+        except ImportError as exc:
+            missing.append(f"import {module}: {exc}")
+            continue
+        if name is not None and not hasattr(imported, name):
+            missing.append(f"from {module} import {name}")
+    assert not missing, missing

@@ -274,7 +274,7 @@ class TestReconfiguration:
         assert hosts[0].replica.suspected_members(dead_after=2.0) == ["n2"]
 
 
-ACCEPT_TYPES = {"Accept", "AcceptBatch", "Accepted", "AcceptedBatch"}
+ACCEPT_TYPES = {"Accept", "Accepted"}
 
 
 class TestLeaderVotesLocally:
@@ -316,10 +316,10 @@ class TestLeaderVotesLocally:
         assert [f.result() for f in futures] == list(range(6))
         slot_msgs = sorted(m for m in sent[settled:] if m[2] in ACCEPT_TYPES)
         assert slot_msgs == [
-            ("n0", "n1", "AcceptBatch"),
-            ("n0", "n2", "AcceptBatch"),
-            ("n1", "n0", "AcceptedBatch"),
-            ("n2", "n0", "AcceptedBatch"),
+            ("n0", "n1", "Accept"),
+            ("n0", "n2", "Accept"),
+            ("n1", "n0", "Accepted"),
+            ("n2", "n0", "Accepted"),
         ]
 
     def test_one_member_group_commits_without_the_network(self):

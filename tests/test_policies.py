@@ -149,3 +149,27 @@ class TestLeaderPlacement:
     def test_single_member_group(self):
         policy = ScatterPolicy(leader_mode="latency")
         assert policy.choose_leader(FakeGroup(members=["n0"]), lambda a, b: 1.0) is None
+
+
+class TestRepairDonor:
+    def test_largest_donor_above_the_floor_gives_its_first_spare(self):
+        policy = ScatterPolicy(target_size=3, split_size=7, merge_size=1, repair=True)
+        fragile = FakeGroup(members=["a", "b"])
+        fragile.gid = "g0"
+        known = [
+            info("g0", 0, 10, ["a", "b"]),
+            info("g1", 10, 20, ["c", "d", "e"]),  # at the floor: nothing to give
+            info("g2", 20, 30, ["h", "g", "f", "i"]),
+        ]
+        node, donor = policy.choose_repair_donor(fragile, known)
+        assert (node, donor.gid) == ("f", "g2")
+
+    def test_view_listing_one_of_ours_is_stale_by_that_member(self):
+        # "b" was pulled in from g2; the pointer to g2 still lists it.
+        # Three of g2's four listed members are really there, which is
+        # the floor, so g2 has no spare and must not be asked again.
+        policy = ScatterPolicy(target_size=3, split_size=7, merge_size=1, repair=True)
+        fragile = FakeGroup(members=["a", "b"])
+        fragile.gid = "g0"
+        stale = info("g2", 20, 30, ["b", "f", "g", "h"])
+        assert policy.choose_repair_donor(fragile, [stale]) is None

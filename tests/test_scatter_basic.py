@@ -130,6 +130,29 @@ class TestClientOps:
         assert f.result().value == "from-c1"
 
 
+class TestClientDeadline:
+    def test_no_op_resolves_later_than_deadline_plus_one_rpc(self):
+        # A client cut off from every node can only time out.  Its
+        # backoff pauses grow toward retry_cap (1.5 s); none may carry an
+        # op past its deadline, so the last thing an op can wait for is
+        # one RPC sent just before it.
+        sim, net, system = build()
+        client = make_client(sim, net, system)
+        client.put("warm", 0)  # fill the cache: ops start at a known leader
+        sim.run_for(2.0)
+        net.partition({client.node_id}, set(system.nodes))
+        futures = []
+        for i in range(12):
+            futures.append(client.put(f"k{i}", i))
+            sim.run_for(0.37)
+        sim.run_for(12.0)
+        config = client.config
+        for record in client.records[1:]:
+            assert record.result.error == "timeout"
+            assert record.latency <= config.op_timeout + config.rpc_timeout
+        assert all(f.done for f in futures)
+
+
 class TestJoin:
     def test_new_node_joins_a_group(self):
         sim, net, system = build(n_nodes=6, n_groups=2)

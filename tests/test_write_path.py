@@ -1,20 +1,25 @@
 """The write-path throughput stack: WAL group commit, pipelined slots
 with flow control, accept coalescing, and the batch-timer fix.
 
-Covers four layers: the group-commit scheduler on the disk model
-(single fsync covering a window of appends, crash semantics), pipeline
-flow control in the leader (bounded in-flight slots + admission queue),
-accept coalescing on the wire (AcceptBatch/AcceptedBatch), and the
-zero-perturbation guarantee that all knobs at their defaults leave
-deployments byte-identical to builds that never had them.
+Covers four layers: the durability barrier on the disk model (one
+fsync at a time, each covering what was appended during the one before
+it; crash semantics), pipeline flow control in the leader (bounded
+in-flight slots + admission queue), accept coalescing on the wire (one
+``Accept`` carrying a run of slots), and the zero-perturbation
+guarantee that the consensus knobs at their defaults leave deployments
+byte-identical to builds that never had them.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
+from hypothesis import given, settings
+from hypothesis import strategies as hyp
+
 from repro.consensus.commands import Command
 from repro.consensus.harness import build_cluster
+from repro.consensus.messages import Accept, Accepted
 from repro.consensus.replica import PaxosConfig
 from repro.harness.builders import (
     DeploymentParams,
@@ -58,88 +63,97 @@ def total_fsyncs(hosts):
 # ---------------------------------------------------------------------------
 # WAL group commit
 # ---------------------------------------------------------------------------
+class _Clock:
+    """The host node's crash-guarded timers, for a disk under test:
+    ``pending`` is what the disk has armed, as ``(due, fn)``; ``advance``
+    fires what falls due, in order; ``cancel_all`` is what ``Node.crash``
+    does to them before the disk loses power."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.pending = []
+
+    def set_timer(self, delay, fn):
+        self.pending.append((self.now + delay, fn))
+
+    def advance(self, dt):
+        end = self.now + dt
+        while self.pending and min(t for t, _fn in self.pending) <= end:
+            due = min(self.pending, key=lambda entry: entry[0])
+            self.pending.remove(due)
+            self.now = due[0]
+            due[1]()
+        self.now = end
+
+    def cancel_all(self):
+        self.pending.clear()
+
+
 class TestGroupCommit:
     def test_one_fsync_covers_a_window_of_appends(self):
-        def fsyncs_for(coalesce):
-            sim, net, hosts = make_cluster(
-                PaxosConfig(**FAST),
-                storage=StorageConfig(fsync_coalesce=coalesce),
-            )
-            before = total_fsyncs(hosts)
-            futures = [hosts[0].propose(Command.app(i)) for i in range(30)]
-            sim.run_for(3.0)
-            assert all(f.exception is None for f in futures)
-            return total_fsyncs(hosts) - before
-
-        grouped = fsyncs_for(0.005)
-        per_ack = fsyncs_for(0.0)
-        assert grouped < 0.5 * per_ack, (grouped, per_ack)
+        # The window is the in-flight fsync.  Thirty proposals reach each
+        # disk in one instant: the first append starts an fsync, the other
+        # 29 arrive while it runs and share the next one.
+        sim, net, hosts = make_cluster(PaxosConfig(**FAST), storage=StorageConfig())
+        before = [total_fsyncs([h]) for h in hosts]
+        futures = [hosts[0].propose(Command.app(i)) for i in range(30)]
+        sim.run_for(3.0)
+        assert all(f.exception is None for f in futures)
+        assert [total_fsyncs([h]) - b for h, b in zip(hosts, before)] == [2, 2, 2]
 
     def test_group_commit_queue_drops_with_power_failure(self):
-        # Unit-level: acks queued behind the coalescing window must die
-        # with the un-fsynced suffix when the node loses power.
-        disk = NodeDisk("n0", StorageConfig(fsync_coalesce=0.005))
+        # Unit-level: acks behind the running fsync, and acks waiting for
+        # the next, must die with the un-fsynced suffix when the node
+        # loses power.
+        timers = _Clock()
+        disk = NodeDisk("n0", StorageConfig(), set_timer=timers.set_timer)
         region = disk.storage_for("g")
-        timers = []
         fired = []
         region.append_accept(0, (1, "n0"), "a")
-        disk.enqueue_fsync(
-            region,
-            region.current_seq(),
-            lambda delay, fn: timers.append((delay, fn)),
-            lambda: fired.append(0),
-        )
+        disk.enqueue_fsync(region, lambda: fired.append(0))
         region.append_accept(1, (1, "n0"), "b")
-        disk.enqueue_fsync(
-            region,
-            region.current_seq(),
-            lambda delay, fn: timers.append((delay, fn)),
-            lambda: fired.append(1),
-        )
-        assert len(timers) == 1  # one armed window, not one timer per ack
+        disk.enqueue_fsync(region, lambda: fired.append(1))
+        assert len(timers.pending) == 1  # one fsync in flight, not one timer per ack
         disk.power_failure()
         # The crash-guarded timer never fires in the real system; even if
-        # the completion ran, the queue is empty and nothing acks.
-        timers[0][1]()
+        # the completion ran, both batches are gone and nothing acks.
+        timers.pending[0][1]()
         assert fired == []
         assert region.records == []  # whole suffix was volatile
         assert region.fsyncs == 0
+        assert len(timers.pending) == 1  # and no further fsync was started
 
     def test_completed_group_fsync_fans_out_all_acks(self):
-        disk = NodeDisk("n0", StorageConfig(fsync_coalesce=0.005))
+        clock = _Clock()
+        disk = NodeDisk("n0", StorageConfig(fsync_latency=2.0), set_timer=clock.set_timer)
         region_a = disk.storage_for("a")
         region_b = disk.storage_for("b")
-        timers = []
         fired = []
         region_a.append_accept(0, (1, "n0"), "x")
-        disk.enqueue_fsync(
-            region_a,
-            region_a.current_seq(),
-            lambda d, fn: timers.append(fn),
-            lambda: fired.append("a0"),
-        )
+        disk.enqueue_fsync(region_a, lambda: fired.append("a0"))
+        # Both of these land while that fsync is in flight and ride the next.
+        region_a.append_accept(1, (1, "n0"), "y")
+        disk.enqueue_fsync(region_a, lambda: fired.append("a1"))
         region_b.append_promise((2, "n1"))
-        disk.enqueue_fsync(
-            region_b,
-            region_b.current_seq(),
-            lambda d, fn: timers.append(fn),
-            lambda: fired.append("b0"),
-        )
-        assert len(timers) == 1
-        timers[0]()
-        assert fired == ["a0", "b0"]
+        disk.enqueue_fsync(region_b, lambda: fired.append("b0"))
+        assert len(clock.pending) == 1
+        clock.advance(2.0)
+        assert fired == ["a0"]
+        assert region_a.synced_seq == 1 and region_b.synced_seq == 0
+        assert len(clock.pending) == 1  # the completion started the next at once
+        clock.advance(2.0)
+        assert fired == ["a0", "a1", "b0"]
         # One fsync per region in the batch, each covering its whole tail.
-        assert region_a.fsyncs == 1 and region_b.fsyncs == 1
+        assert region_a.fsyncs == 2 and region_b.fsyncs == 1
         assert region_a.synced_seq == region_a.current_seq()
         assert region_b.synced_seq == region_b.current_seq()
+        assert clock.pending == []  # nothing waited: the disk is idle
 
     def test_crash_during_window_recovers_clean(self):
         # A follower crashing mid-window must come back with no reneged
         # promise/accept: every ack it sent was covered by an fsync.
         config = PaxosConfig(**FAST)
-        sim, net, hosts = make_cluster(
-            config, storage=StorageConfig(fsync_coalesce=0.004)
-        )
+        sim, net, hosts = make_cluster(config, storage=StorageConfig())
         for i in range(10):
             hosts[0].propose(Command.app(i))
         sim.run_for(0.03)  # mid-burst: un-fsynced windows are open
@@ -155,18 +169,207 @@ class TestGroupCommit:
         assert all(f.exception is None for f in more)
 
     def test_io_error_at_group_fsync_withholds_every_ack(self):
-        disk = NodeDisk("n0", StorageConfig(fsync_coalesce=0.005))
+        clock = _Clock()
+        disk = NodeDisk("n0", StorageConfig(fsync_latency=2.0), set_timer=clock.set_timer)
         region = disk.storage_for("g")
         fired = []
-        timers = []
         region.append_accept(0, (1, "n0"), "x")
-        disk.enqueue_fsync(
-            region, region.current_seq(), lambda d, fn: timers.append(fn), lambda: fired.append(0)
-        )
+        disk.enqueue_fsync(region, lambda: fired.append(0))
         disk.io_error = True
-        timers[0]()
-        assert fired == []
+        clock.advance(2.0)
+        assert fired == [] and clock.pending == []
         assert region.fsyncs == 0  # batch stayed volatile; leader retries
+
+
+def _durable_count(region):
+    return sum(1 for r in region.records if r.seq <= region.synced_seq)
+
+
+class TestOneFsyncAtATime:
+    """The durability barrier: counts and simulated times, which repeat
+    exactly.  Times are whole ticks so the floats are exact too."""
+
+    def disk(self):
+        clock = _Clock()
+        return clock, NodeDisk("n0", StorageConfig(fsync_latency=2.0), set_timer=clock.set_timer)
+
+    def test_never_two_fsyncs_in_flight_across_regions(self):
+        clock, disk = self.disk()
+        regions = [disk.storage_for(gid) for gid in ("a", "b", "c")]
+        acked = []
+        for tick in range(12):  # an ack per tick, round the regions, 2-tick fsyncs
+            region = regions[tick % 3]
+            region.append_accept(tick, (1, "n0"), tick)
+            disk.enqueue_fsync(region, lambda tick=tick: acked.append((clock.now, tick)))
+            assert len(clock.pending) == 1
+            clock.advance(1.0)
+            assert len(clock.pending) <= 1
+        clock.advance(4.0)
+        assert clock.pending == []
+        # Tick 0 found the disk idle and tick 1 arrived during its fsync;
+        # after that every fsync covers the two acks that arrived during
+        # the one before it.
+        assert acked == [
+            (2.0, 0), (4.0, 1), (6.0, 2), (6.0, 3), (8.0, 4), (8.0, 5), (10.0, 6),
+            (10.0, 7), (12.0, 8), (12.0, 9), (14.0, 10), (14.0, 11),
+        ]
+        assert sum(region.fsyncs for region in regions) == 12  # one per region in a batch
+
+    def test_append_during_an_fsync_is_not_covered_by_it(self):
+        clock, disk = self.disk()
+        region = disk.storage_for("g")
+        acked = []
+        region.append_accept(0, (1, "n0"), "a")
+        disk.enqueue_fsync(region, lambda: acked.append("a"))
+        clock.advance(1.0)
+        region.append_accept(1, (1, "n0"), "b")  # lands mid-fsync
+        disk.enqueue_fsync(region, lambda: acked.append("b"))
+        clock.advance(1.0)  # the first fsync completes, the second starts
+        assert acked == ["a"] and region.synced_seq == 1
+        clock.advance(1.9)  # just short of the second completion
+        clock.cancel_all()
+        disk.power_failure()
+        assert [r.value for r in region.records] == ["a"]
+        clock.advance(10.0)
+        assert acked == ["a"]
+
+    def test_power_failure_before_the_next_completion_keeps_the_ledger_clean(self):
+        # The same, through a live follower: x finds its disk idle, y lands
+        # while x's fsync runs and is lost with the power just before its own.
+        sim, net, hosts = make_cluster(PaxosConfig(**FAST), storage=StorageConfig())
+        follower = hosts[1]
+        storage = follower.replica.storage
+        hosts[0].propose(Command(kind="app", payload="x", dedup=("c", 1)))
+        sim.run_for(0.001)
+        hosts[0].propose(Command(kind="app", payload="y", dedup=("c", 2)))
+        slot_x, slot_y = sorted(hosts[0].replica._pending)
+        sim.run_for(0.0079)  # x: 5 ms out, fsync 5-7 ms; y: arrives at 6, fsync 7-9 ms
+        assert slot_x in storage.acked_accepts and slot_y not in storage.acked_accepts
+        assert [r.slot for r in storage.records if r.kind == "accept"][-2:] == [slot_x, slot_y]
+        follower.crash()
+        assert [r.slot for r in storage.records if r.kind == "accept"][-1] == slot_x
+        sim.run_for(0.5)
+        assert slot_y not in storage.acked_accepts  # no ack escaped
+        follower.restart()
+        sim.run_for(2.0)
+        assert all(h.replica.storage.reneged == [] for h in hosts)
+        assert app_payloads(follower)[-2:] == ["x", "y"]  # caught up the ordinary way
+
+    def test_io_error_at_completion_withholds_only_that_batch(self):
+        clock, disk = self.disk()
+        region = disk.storage_for("g")
+        acked = []
+        region.append_accept(0, (1, "n0"), "a")
+        disk.enqueue_fsync(region, lambda: acked.append("a"))
+        region.append_accept(1, (1, "n0"), "b")
+        disk.enqueue_fsync(region, lambda: acked.append("b"))
+        disk.io_error = True
+        clock.advance(2.0)  # the first fsync fails; the waiting batch starts anyway
+        assert acked == [] and region.fsyncs == 0 and len(clock.pending) == 1
+        disk.io_error = False
+        clock.advance(2.0)
+        assert acked == ["b"]
+        assert region.fsyncs == 1 and region.synced_seq == region.current_seq()
+
+    def test_slow_disk_grows_the_batch_not_the_queue(self):
+        def fsyncs_for(factor):
+            clock, disk = self.disk()
+            disk.fsync_factor = factor
+            region = disk.storage_for("g")
+            acked = []
+            for tick in range(20):
+                region.append_accept(tick, (1, "n0"), tick)
+                disk.enqueue_fsync(region, lambda tick=tick: acked.append(tick))
+                clock.advance(1.0)
+                assert len(clock.pending) <= 1
+            clock.advance(100.0)
+            assert acked == list(range(20))
+            return region.fsyncs
+
+        assert fsyncs_for(1.0) == 11  # 2-tick fsyncs: the first ack, then pairs
+        assert fsyncs_for(10.0) == 2  # 20-tick fsyncs: the first ack, then all the rest
+
+
+class _ReferenceDisk:
+    """One fsync at a time, written the obvious way: a clock, two lists
+    and per-region record counts."""
+
+    def __init__(self, latency):
+        self.latency, self.now, self.done_at = latency, 0.0, None
+        self.running, self.waiting, self.acks, self.io_error = [], [], [], False
+        self.logged, self.durable = {}, {}
+
+    def append(self, gid):
+        if not self.io_error:
+            self.logged[gid] = self.logged.get(gid, 0) + 1
+
+    def enqueue(self, gid, tag):
+        self.waiting.append((gid, self.logged.get(gid, 0), tag))
+        if self.done_at is None:
+            self._start()
+
+    def _start(self):
+        self.running, self.waiting, self.done_at = self.waiting, [], self.now + self.latency
+
+    def advance(self, dt):
+        end = self.now + dt
+        while self.done_at is not None and self.done_at <= end:
+            batch, self.now, self.done_at = self.running, self.done_at, None
+            if self.waiting:
+                self._start()
+            if not self.io_error:
+                for gid, upto, tag in batch:
+                    self.durable[gid] = max(self.durable.get(gid, 0), upto)
+                    self.acks.append(tag)
+        self.now = end
+
+    def power_failure(self):
+        self.running, self.waiting, self.done_at = [], [], None
+        self.logged = dict(self.durable)
+
+
+_gids = hyp.sampled_from(["a", "b"])
+_disk_ops = hyp.lists(
+    hyp.one_of(
+        hyp.tuples(hyp.just("append"), _gids),
+        hyp.tuples(hyp.just("enqueue"), _gids),
+        hyp.tuples(hyp.just("advance"), hyp.integers(1, 5)),
+        hyp.tuples(hyp.just("power_failure")),
+        hyp.tuples(hyp.just("io_error"), hyp.booleans()),
+    ),
+    max_size=80,
+)
+
+
+class TestDiskMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(ops=_disk_ops)
+    def test_same_acks_in_the_same_order(self, ops):
+        clock = _Clock()
+        disk = NodeDisk("n0", StorageConfig(fsync_latency=3.0), set_timer=clock.set_timer)
+        ref = _ReferenceDisk(3.0)
+        acks = []
+        for tag, (op, *args) in enumerate(ops):
+            if op == "append":
+                disk.storage_for(args[0]).append_accept(tag, (1, "n0"), tag)
+                ref.append(args[0])
+            elif op == "enqueue":
+                disk.enqueue_fsync(disk.storage_for(args[0]), lambda tag=tag: acks.append(tag))
+                ref.enqueue(args[0], tag)
+            elif op == "advance":
+                clock.advance(float(args[0]))
+                ref.advance(float(args[0]))
+            elif op == "power_failure":
+                clock.cancel_all()
+                disk.power_failure()
+                ref.power_failure()
+            else:
+                disk.io_error = ref.io_error = args[0]
+            assert acks == ref.acks
+            assert len(clock.pending) == (ref.done_at is not None) <= 1
+            for gid, region in disk.regions.items():
+                assert len(region.records) == ref.logged.get(gid, 0)
+                assert _durable_count(region) == ref.durable.get(gid, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -212,44 +415,44 @@ class TestPipeline:
 # ---------------------------------------------------------------------------
 class TestAcceptCoalescing:
     def run_burst(self, coalescing, pipeline_depth=8):
+        """Run lengths of every Accept and Accepted sent for a 24-op burst."""
         sim, net, hosts = make_cluster(
             PaxosConfig(
                 accept_coalescing=coalescing, pipeline_depth=pipeline_depth, **FAST
             ),
             seed=3,
         )
-        # The network wraps everything in RPC envelopes, so count message
-        # types where the replicas actually receive them.
-        by_type: dict[str, int] = {}
+        runs = {"Accept": [], "Accepted": []}
         for host in hosts:
-            original = host.replica.on_message
+            transport = host.replica.transport
 
-            def wrapped(src, msg, _orig=original):
-                name = type(msg).__name__
-                by_type[name] = by_type.get(name, 0) + 1
-                return _orig(src, msg)
+            def tap(dst, msg, _send=transport.send):
+                if isinstance(msg, Accept):
+                    runs["Accept"].append(len(msg.commands))
+                elif isinstance(msg, Accepted):
+                    runs["Accepted"].append(len(msg.slots))
+                _send(dst, msg)
 
-            host.replica.on_message = wrapped
+            transport.send = tap
         futures = [hosts[0].propose(Command.app(i)) for i in range(24)]
         sim.run_for(3.0)
         assert all(f.result() == i for i, f in enumerate(futures))
         for host in hosts:
             assert app_payloads(host) == list(range(24))
-        return by_type
+        return runs
 
     def test_bursts_pack_into_accept_batches(self):
-        by_type = self.run_burst(coalescing=True)
-        assert by_type.get("AcceptBatch", 0) > 0
-        assert by_type.get("AcceptedBatch", 0) > 0
+        packed = self.run_burst(coalescing=True)
+        assert max(packed["Accept"]) > 1
+        assert max(packed["Accepted"]) > 1
         # A 24-op burst costs far fewer than 24 Accepts per peer.
         plain = self.run_burst(coalescing=False)
-        batched_total = by_type.get("Accept", 0) + by_type.get("AcceptBatch", 0)
-        assert batched_total < 0.5 * plain.get("Accept", 0)
+        assert len(packed["Accept"]) < 0.5 * len(plain["Accept"])
 
     def test_coalescing_off_sends_no_batches(self):
-        by_type = self.run_burst(coalescing=False)
-        assert "AcceptBatch" not in by_type
-        assert "AcceptedBatch" not in by_type
+        runs = self.run_burst(coalescing=False)
+        assert set(runs["Accept"]) == {1}
+        assert set(runs["Accepted"]) == {1}
 
     def test_retry_after_partition_retransmits_batches(self):
         sim, net, hosts = make_cluster(
@@ -265,8 +468,9 @@ class TestAcceptCoalescing:
 
 
 class TestOneAcceptorStep:
-    """Per-slot Accepts, an AcceptBatch and the leader's own vote all take
-    the same acceptor step, so the same input yields the same acks."""
+    """Four Accepts of one slot each, one Accept of four slots and the
+    leader's own vote all take the same acceptor step, so the same input
+    yields the same acks."""
 
     COMMANDS = tuple(Command(kind="app", payload=i, dedup=("c", i)) for i in range(4))
 
@@ -276,17 +480,13 @@ class TestOneAcceptorStep:
         acked = []
 
         def record(dst, msg):
-            if type(msg).__name__ == "Accepted":
-                acked.append((msg.slot,))
-            elif type(msg).__name__ == "AcceptedBatch":
+            if isinstance(msg, Accepted):
                 acked.append(msg.slots)
 
         follower.transport.send = record
         return _sim, follower, acked
 
     def acks_for(self, storage, coalesced, io_error_on=None):
-        from repro.consensus.messages import Accept, AcceptBatch
-
         sim, follower, acked = self.fresh_follower(storage)
         ballot, start = follower.promised, follower.log.commit_index + 1
         if io_error_on is not None:
@@ -295,10 +495,10 @@ class TestOneAcceptorStep:
                 lambda slot, b, c: slot != start + io_error_on and real(slot, b, c)
             )
         if coalesced:
-            follower.on_message("n0", AcceptBatch(ballot, start, self.COMMANDS, -1))
+            follower.on_message("n0", Accept(ballot, start, self.COMMANDS, -1))
         else:
             for offset, command in enumerate(self.COMMANDS):
-                follower.on_message("n0", Accept(ballot, start + offset, command, -1))
+                follower.on_message("n0", Accept(ballot, start + offset, (command,), -1))
         sim.run_for(0.05)
         ledger = dict(follower.storage.acked_accepts) if storage else None
         return sorted(slot - start for ack in acked for slot in ack), ledger
@@ -313,7 +513,7 @@ class TestOneAcceptorStep:
         assert batch[0] == [0, 1, 2, 3] and len(batch[1]) >= 4
 
     def test_same_acks_when_one_append_fails(self):
-        storage = StorageConfig(fsync_coalesce=0.002)
+        storage = StorageConfig()
         batch = self.acks_for(storage, True, io_error_on=2)
         assert batch == self.acks_for(storage, False, io_error_on=2)
         assert batch[0] == [0, 1, 3]
@@ -401,7 +601,7 @@ class TestZeroPerturbation:
         fp_on = _drive(
             seed=11,
             paxos_extra=FULL_STACK,
-            storage=StorageConfig(fsync_coalesce=0.002),
+            storage=StorageConfig(),
             msg_service_time=0.001,
         )
         fp_b = _drive(seed=11)
@@ -411,17 +611,10 @@ class TestZeroPerturbation:
     def test_enabled_runs_are_deterministic(self):
         kwargs = dict(
             paxos_extra=FULL_STACK,
-            storage=StorageConfig(fsync_coalesce=0.002),
+            storage=StorageConfig(),
             msg_service_time=0.001,
         )
         assert _drive(seed=11, **kwargs) == _drive(seed=11, **kwargs)
-
-    def test_group_commit_alone_perturbs_only_when_on(self):
-        fp_off = _drive(seed=12, storage=StorageConfig())
-        fp_on = _drive(seed=12, storage=StorageConfig(fsync_coalesce=0.002))
-        fp_off2 = _drive(seed=12, storage=StorageConfig())
-        assert fp_off == fp_off2
-        assert fp_on != fp_off
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +628,8 @@ class TestFuzzKnobs:
         assert any(p.batching for p in plans)
         assert any(p.pipeline_depth > 0 for p in plans)
         assert any(p.accept_coalescing for p in plans)
-        assert any(p.fsync_coalesce > 0 for p in plans)
         # ...and the defaults still appear, so both paths stay fuzzed.
         assert any(not p.batching for p in plans)
-        assert any(p.fsync_coalesce == 0 for p in plans)
 
     def test_plan_roundtrip_preserves_knobs(self):
         from repro.check import sample_plan
@@ -447,30 +638,42 @@ class TestFuzzKnobs:
         plan = sample_plan(7, 3)
         assert plan_from_dict(plan_to_dict(plan)) == plan
 
-    def test_old_repro_files_deserialize_to_historical_defaults(self):
-        from repro.check import sample_plan
+    def test_old_repro_files_deserialize_to_historical_defaults(self, tmp_path):
+        from repro.check import (
+            FailureSummary, dump_repro, load_repro, replay, repro_dict, sample_plan,
+        )
         from repro.check.plan import plan_from_dict, plan_to_dict
+        from repro.check.repro_file import plan_of
 
         data = plan_to_dict(sample_plan(7, 3))
-        for legacy_missing in (
-            "batching",
-            "pipeline_depth",
-            "accept_coalescing",
-            "fsync_coalesce",
-        ):
+        for legacy_missing in ("batching", "pipeline_depth", "accept_coalescing"):
             data.pop(legacy_missing)
         plan = plan_from_dict(data)
         assert plan.batching is False
         assert plan.pipeline_depth == 0
         assert plan.accept_coalescing is False
-        assert plan.fsync_coalesce == 0.0
+
+        # A file written while the disk had a group-commit window carries
+        # its setting: it loads, replays and is saved again without it.
+        plan = sample_plan(7, 3)
+        recorded = FailureSummary("invariant", "no-such-invariant", "", 0.0)
+        old = repro_dict(plan, recorded, None)
+        old["plan"]["fsync_coalesce"] = 0.002
+        dump_repro(old, tmp_path / "old.json")
+        loaded = load_repro(tmp_path / "old.json")
+        assert loaded["plan"]["fsync_coalesce"] == 0.002
+        assert plan_of(loaded) == plan
+        reproduced, observed, _recorded = replay(loaded)
+        assert not reproduced and observed is None  # ran to the end, clean
+        assert repro_dict(plan_of(loaded), recorded, None) == repro_dict(plan, recorded, None)
+        assert "fsync_coalesce" not in repro_dict(plan_of(loaded), recorded, None)["plan"]
 
     def test_knobbed_plan_runs_clean(self):
         from repro.check import run_plan, sample_plan
 
         plan = next(
             replace(sample_plan(7, i), batching=True, pipeline_depth=4,
-                    accept_coalescing=True, fsync_coalesce=0.002)
+                    accept_coalescing=True)
             for i in range(20)
             if any(e.kind.startswith("disk_") for e in sample_plan(7, i).schedule)
         )
@@ -479,8 +682,8 @@ class TestFuzzKnobs:
         assert outcome.ops_completed > 0
 
     def test_forgotten_promise_caught_with_group_commit_on(self):
-        # The canary bug must stay detectable when acks ride the
-        # coalesced fsync path: acceptor-durability polices the batch.
+        # The canary bug must stay detectable when acks ride a shared
+        # fsync: acceptor-durability polices the batch.
         from repro.check import run_plan, sample_plan
 
         found = False
@@ -490,7 +693,6 @@ class TestFuzzKnobs:
                 batching=True,
                 pipeline_depth=4,
                 accept_coalescing=True,
-                fsync_coalesce=0.002,
             )
             outcome = run_plan(plan, bug="forgotten-promise")
             if outcome.failed and outcome.failure.name == "acceptor-durability":
