@@ -17,7 +17,9 @@ PYTHONPATH=src python -m repro perf --json BENCH_SIM.json --fail-below 0.6 "$@"
 # direct dispatch beats the unpooled delivery path, and the bisect
 # routing table beats the linear successor scan.  The WAL's per-ack cost
 # is the same kind of number with a ceiling: an append + fsync pair on a
-# 10,000-record log must cost under twice what it does on a 100-record one.
+# 10,000-record log must cost under twice what it does on a 100-record one,
+# and so must a follower's read conflict check on a log retaining 400
+# applied entries against one retaining 10 (the window is the same two slots).
 # And two exact counts, the same on every host: the leader votes locally,
 # so a chosen slot costs 2*(n-1) Accept-family messages, 4 at n=3, 8 at n=5;
 # and a window of client ops with the collector off leaves it nothing to
@@ -31,8 +33,8 @@ with open("BENCH_SIM.json") as f:
 by_name = {b["name"]: b for b in report["benchmarks"]}
 failures = []
 for name in (
-    "ring_lookup_10k", "pooled_send_deliver", "wal_fsync_per_ack", "accept_msgs_per_slot",
-    "cyclic_garbage_per_op",
+    "ring_lookup_10k", "pooled_send_deliver", "wal_fsync_per_ack", "follower_read_window",
+    "accept_msgs_per_slot", "cyclic_garbage_per_op",
 ):
     if name not in by_name:
         failures.append(f"{name} missing from BENCH_SIM.json")
@@ -48,6 +50,10 @@ if "wal_fsync_per_ack" in by_name:
     ratio = by_name["wal_fsync_per_ack"].get("cost_ratio_10k_vs_100") or float("inf")
     if ratio > 2.0:
         failures.append(f"wal_fsync_per_ack cost_ratio_10k_vs_100 {ratio} > 2")
+if "follower_read_window" in by_name:
+    ratio = by_name["follower_read_window"].get("cost_ratio_400_vs_10") or float("inf")
+    if ratio >= 2.0:
+        failures.append(f"follower_read_window cost_ratio_400_vs_10 {ratio} >= 2")
 if "accept_msgs_per_slot" in by_name:
     for key, want in (("msgs_per_slot_n3", 4.0), ("msgs_per_slot_n5", 8.0)):
         got = by_name["accept_msgs_per_slot"].get(key)

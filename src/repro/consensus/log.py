@@ -31,6 +31,11 @@ class PaxosLog:
 
     def __init__(self) -> None:
         self._entries: dict[int, LogEntry] = {}
+        # Highest slot holding an entry (-1 when none).  Every entry
+        # lies in [first_slot, _top], so the scans below walk that range
+        # (a few in-flight slots on the read path) rather than sorting
+        # or filtering every retained key.
+        self._top = -1
         self.commit_index = -1
         # Slots below first_slot were compacted into a snapshot; their
         # entries are gone but remain (by construction) chosen/applied.
@@ -44,9 +49,12 @@ class PaxosLog:
     def entry(self, slot: int) -> LogEntry:
         if slot < self.first_slot:
             raise KeyError(f"slot {slot} compacted away (first_slot={self.first_slot})")
-        if slot not in self._entries:
-            self._entries[slot] = LogEntry()
-        return self._entries[slot]
+        e = self._entries.get(slot)
+        if e is None:
+            e = self._entries[slot] = LogEntry()
+            if slot > self._top:
+                self._top = slot
+        return e
 
     def truncate_before(self, slot: int) -> None:
         """Discard entries below ``slot`` (they live on in a snapshot).
@@ -66,8 +74,10 @@ class PaxosLog:
         self._drop_below(slot)
 
     def _drop_below(self, slot: int) -> None:
-        for s in [s for s in self._entries if s < slot]:
-            del self._entries[s]
+        for s in range(self.first_slot, min(slot, self._top + 1)):
+            self._entries.pop(s, None)
+        if slot > self._top:
+            self._top = -1  # nothing retained
         self.first_slot = max(self.first_slot, slot)
         self.commit_index = max(self.commit_index, self.first_slot - 1)
         # Re-extend over any retained chosen entries beyond the jump.
@@ -83,7 +93,7 @@ class PaxosLog:
     @property
     def max_slot(self) -> int:
         """Highest slot with any accepted/chosen entry, or -1."""
-        return max(self._entries, default=-1)
+        return self._top
 
     def is_chosen(self, slot: int) -> bool:
         if slot < self.first_slot:
@@ -121,11 +131,10 @@ class PaxosLog:
     def accepted_from(self, from_slot: int) -> list[tuple[int, Ballot, Any]]:
         """(slot, ballot, value) for accepted entries at or after from_slot."""
         out = []
-        for slot in sorted(self._entries):
-            if slot < from_slot:
-                continue
-            e = self._entries[slot]
-            if e.accepted_ballot is not None:
+        get = self._entries.get
+        for slot in range(max(from_slot, self.first_slot), self._top + 1):
+            e = get(slot)
+            if e is not None and e.accepted_ballot is not None:
                 out.append((slot, e.accepted_ballot, e.accepted_value))
         return out
 
@@ -135,13 +144,14 @@ class PaxosLog:
         The follower-read local conflict window: everything this
         replica knows may commit (or has committed) above its applied
         prefix, whether learned through an Accept or through catch-up.
+        Walks slots ``[from_slot, top]`` in order, holes skipped, so a
+        read pays for the window and not for the retained log.
         """
         out = []
-        for slot in sorted(self._entries):
-            if slot < from_slot:
-                continue
-            e = self._entries[slot]
-            if e.chosen or e.accepted_ballot is not None:
+        get = self._entries.get
+        for slot in range(max(from_slot, self.first_slot), self._top + 1):
+            e = get(slot)
+            if e is not None and (e.chosen or e.accepted_ballot is not None):
                 out.append(e.accepted_value)
         return out
 

@@ -674,11 +674,12 @@ class PaxosReplica:
     def _fr_conflict_free(self, key: Any) -> bool:
         """The conflict-window check: does no in-flight write cover ``key``?
 
-        The window is every accepted-or-chosen log entry above the
-        applied prefix: quorum expansion guarantees any write that
-        commits while our grant is live was accepted here first, so a
-        clean window proves the applied prefix is read-current.  The
-        ``stale-follower-read`` demo bug patches this method out.
+        The window is every accepted-or-chosen entry in slots
+        ``(applied_index, top]`` of our own log: quorum expansion
+        guarantees any write that commits while our grant is live was
+        accepted here first, so a clean window proves the applied prefix
+        is read-current.  O(window), whatever the log retains below it.
+        The ``stale-follower-read`` demo bug patches this method out.
         """
         for value in self.log.pending_values(self.applied_index + 1):
             keys, wildcard = self._command_writes(value)

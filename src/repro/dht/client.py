@@ -176,12 +176,10 @@ class ScatterClient(Node):
 
     def _op_proc(self, op: KvOp, dedup, record: OpRecord):
         deadline = self.sim.now + self.config.op_timeout
-        net_retry = RetryState(
-            RetryPolicy(base=self.config.retry_base, cap=self.config.retry_cap), self._rng
-        )
-        busy_retry = RetryState(
-            RetryPolicy(base=self.config.busy_backoff, cap=self.config.retry_cap), self._rng
-        )
+        # Backoff cursors, built on the op's first failure: most ops
+        # never pause, and a cursor draws from the RNG only in next().
+        net_retry: RetryState | None = None
+        busy_retry: RetryState | None = None
         info = self._best_info(op.key)
         target = info.leader_hint if info is not None else self._seed()
         backups: list[str] = list(info.members) if info is not None else []
@@ -203,6 +201,7 @@ class ScatterClient(Node):
                 target = self._next_target(backups, exclude=target)
                 if target is None or visits.get(target, 0) >= 3:
                     target = self._seed()
+                    busy_retry = busy_retry or self._backoff(self.config.busy_backoff)
                     yield _sleep(self.sim, busy_retry.next(), deadline)
                 continue
             visits[target] = visits.get(target, 0) + 1
@@ -218,10 +217,12 @@ class ScatterClient(Node):
                 # clients stalled on the same dead node spread out instead
                 # of stampeding the next member in lockstep.
                 target = self._next_target(backups, exclude=target)
+                net_retry = net_retry or self._backoff(self.config.retry_base)
                 yield _sleep(self.sim, net_retry.next(), deadline)
                 continue
             record.hops += 1
-            net_retry.reset()
+            if net_retry is not None:
+                net_retry.reset()
             for group in resp.groups:
                 self._learn(group)
             if resp.status == "ok":
@@ -243,11 +244,13 @@ class ScatterClient(Node):
                         # stale knowledge somewhere.  Try another member,
                         # and pause so fresher state can propagate.
                         target = self._next_target(backups, exclude=asked)
+                        busy_retry = busy_retry or self._backoff(self.config.busy_backoff)
                         yield _sleep(self.sim, busy_retry.next(), deadline)
                 else:
                     target = self._seed()
                 continue
             if resp.status == "busy":
+                busy_retry = busy_retry or self._backoff(self.config.busy_backoff)
                 yield _sleep(self.sim, busy_retry.next(), deadline)
                 refreshed = self._best_info(op.key)
                 if refreshed is not None:
@@ -258,6 +261,9 @@ class ScatterClient(Node):
         record.response_time = self.sim.now
         record.result = KvResult(ok=False, error="timeout")
         return record.result
+
+    def _backoff(self, base: float) -> RetryState:
+        return RetryState(RetryPolicy(base=base, cap=self.config.retry_cap), self._rng)
 
     def _read_target(self, info: GroupInfo) -> str | None:
         """Replica-aware read routing: which member to ask a Get first.
@@ -344,9 +350,9 @@ class ScatterClient(Node):
             # behind the key — the containing group for a tiled view,
             # and exactly the min-ring_distance fallback otherwise.
             return table.lookup(key)
-        containing = [g for g in self.cache.values() if g.range.contains(key)]
-        if containing:
-            return containing[0]
+        for g in self.cache.values():
+            if g.range.contains(key):
+                return g
         if not self.cache:
             return None
         return min(self.cache.values(), key=lambda g: ring_distance(g.range.lo, key))

@@ -56,11 +56,12 @@ class KeyRange:
 
     def contains(self, key: int) -> bool:
         key %= KEY_SPACE
-        if self.is_full:
+        lo, hi = self.lo, self.hi
+        if lo == hi:  # full ring
             return True
-        if self.wraps:
-            return key >= self.lo or key < self.hi
-        return self.lo <= key < self.hi
+        if lo > hi:  # wraps around zero
+            return key >= lo or key < hi
+        return lo <= key < hi
 
     def size(self) -> int:
         if self.is_full:

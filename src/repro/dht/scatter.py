@@ -337,16 +337,18 @@ class ScatterNode(Node):
                 # client to the leader as before.
                 local = replica.follower_read(msg.op)
                 if local is not None:
-                    return _map_future(local, self._client_result_to_resp)
+                    return ClientOpResp(status="ok", result=local)
                 return ClientOpResp(
                     status="not_leader",
                     leader_hint=replica.paxos.leader_hint,
                     groups=(replica.info(),),
                 )
-            return _map_future(
-                replica.client_op(msg.op, msg.dedup),
-                self._client_result_to_resp,
-            )
+            # An answer known now (a lease read, a refusal) comes back
+            # as a value; only an op that waits on the log is a Future.
+            result = replica.client_op(msg.op, msg.dedup)
+            if isinstance(result, Future):
+                return _map_future(result, self._client_result_to_resp)
+            return ClientOpResp(status="ok", result=result)
         # Retired groups linger in self.groups; if none matched, redirect
         # (iterative) or forward on the client's behalf (recursive).
         candidates = self._redirect_candidates(key)

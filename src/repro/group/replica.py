@@ -157,24 +157,22 @@ class GroupReplica:
     # ------------------------------------------------------------------
     # Client operations (leader side)
     # ------------------------------------------------------------------
-    def client_op(self, op: KvOp, dedup: tuple[str, int] | None = None) -> Future:
+    def client_op(self, op: KvOp, dedup: tuple[str, int] | None = None) -> KvResult | Future:
         """Execute a linearizable storage operation.
 
         Reads go through the leader lease when it is live; everything
-        else is replicated through the log.  Resolves with a
-        :class:`KvResult`; protocol-level failures resolve as ``ok=False``
-        results with an ``error`` the client can act on.
+        else is replicated through the log.  An answer known on the spot
+        (a lease read, or a protocol-level refusal as an ``ok=False``
+        result with an ``error`` the client can act on) is returned as a
+        :class:`KvResult`; only an op that waits on the log returns a
+        :class:`Future` of one.
         """
-        future = Future()
         if self.status is GroupStatus.RETIRED:
-            future.set_result(KvResult(ok=False, error="moved"))
-            return future
+            return KvResult(ok=False, error="moved")
         if self.status is GroupStatus.FROZEN:
-            future.set_result(KvResult(ok=False, error="busy"))
-            return future
+            return KvResult(ok=False, error="busy")
         if not self.range.contains(op.key):
-            future.set_result(KvResult(ok=False, error="wrong_group"))
-            return future
+            return KvResult(ok=False, error="wrong_group")
         self.load[op.key] += 1
         tracer = self.tracer
         if tracer is not None:
@@ -184,8 +182,7 @@ class GroupReplica:
         if op.op == OP_GET and self.paxos.config.lease_reads and self.paxos.lease_active:
             if tracer is not None:
                 tracer.metrics.inc("group.lease_reads")
-            future.set_result(self.store.get(op.key))
-            return future
+            return self.store.get(op.key)
         if tracer is not None:
             tracer.metrics.inc("group.log_ops")
         proposed = self.paxos.propose(Command(kind="app", payload=op, dedup=dedup))
@@ -206,7 +203,7 @@ class GroupReplica:
     # ------------------------------------------------------------------
     # Client operations (follower side)
     # ------------------------------------------------------------------
-    def follower_read(self, op: KvOp) -> Future | None:
+    def follower_read(self, op: KvOp) -> KvResult | None:
         """Serve a Get locally at a follower, or ``None`` to bounce.
 
         The scale-out read path (``PaxosConfig.follower_reads``): a
@@ -238,9 +235,7 @@ class GroupReplica:
                 key=op.key,
             )
             tracer.finish(span, outcome="served")
-        future = Future()
-        future.set_result(self.store.get(op.key))
-        return future
+        return self.store.get(op.key)
 
     def _command_write_keys(self, command: Command) -> tuple[frozenset, bool]:
         """Classify a log command's write set for the conflict window.

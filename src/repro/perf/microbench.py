@@ -452,6 +452,58 @@ def _bench_wal_fsync_per_ack(n: int) -> Callable[[], int]:
     return run
 
 
+def _bench_follower_read_window(n: int) -> Callable[[], int]:
+    """Follower-read conflict check against log length: ``n`` checks of
+    the same two-entry window (one accepted and one caught-up write,
+    neither on the key read) on a follower whose log retains 10 applied
+    entries and on one retaining 400, in one process.  The window is
+    slots ``(applied_index, top]``, so the check must cost the same on
+    both; the reported value is the long-log rate and the cost ratio
+    lands in ``extra``, where ``scripts/check_perf.sh`` holds it under 2.
+    """
+
+    def one(retained: int) -> float:
+        from repro.consensus.commands import Command
+        from repro.consensus.harness import build_cluster
+        from repro.consensus.replica import PaxosConfig
+
+        sim = Simulator(seed=1)
+        net = SimNetwork(sim, latency=ConstantLatency(0.001))
+        config = PaxosConfig(follower_reads=True, compact_threshold=10_000)
+        hosts = build_cluster(sim, net, n=3, config=config)
+        sim.run_for(1.5)  # election, read barrier and first grants
+        for i in range(retained):
+            hosts[0].propose(Command.app(i))
+            sim.run_for(0.01)
+        replica = hosts[1].replica
+        replica.write_keys_fn = lambda cmd: (frozenset((cmd.payload,)), False)
+        top = replica.applied_index
+        assert len(replica.log) >= retained and replica.follower_read_allowed("k")
+        accepted = replica.log.entry(top + 1)
+        accepted.accepted_ballot, accepted.accepted_value = (1, "n0"), Command.app("w1")
+        replica.log.mark_chosen(top + 3, Command.app("w2"))  # above a hole
+        check = replica._fr_conflict_free
+        assert check("k") and not check("w1") and not check("w2")
+        t0 = time.perf_counter()
+        for _ in range(n):
+            check("k")
+        return time.perf_counter() - t0
+
+    def run() -> int:
+        trials = [(one(10), one(400)) for _ in range(3)]
+        short_wall = min(short for short, _ in trials)
+        long_wall = min(long for _, long in trials)
+        run.self_timed = (n, long_wall)  # type: ignore[attr-defined]
+        run.extra = {  # type: ignore[attr-defined]
+            "us_per_check_retaining_10": round(short_wall / n * 1e6, 3),
+            "us_per_check_retaining_400": round(long_wall / n * 1e6, 3),
+            "cost_ratio_400_vs_10": round(long_wall / short_wall, 2) if short_wall else None,
+        }
+        return n
+
+    return run
+
+
 # ---------------------------------------------------------------------------
 # Runner
 # ---------------------------------------------------------------------------
@@ -481,6 +533,7 @@ def run_microbenchmarks(quick: bool = False, repeat: int = 3) -> dict:
         ("e2e_scatter_ops", "events_per_s", _bench_e2e_ops(e2e_duration)),
         ("write_path_saturation", "events_per_s", _bench_write_path(n_writes)),
         ("wal_fsync_per_ack", "pairs_per_s", _bench_wal_fsync_per_ack(2_000)),
+        ("follower_read_window", "checks_per_s", _bench_follower_read_window(20_000)),
         ("accept_msgs_per_slot", "msgs_per_s", _bench_accept_msgs_per_slot(n_slots)),
         ("cyclic_garbage_per_op", "ops_per_s", _bench_cyclic_garbage_per_op(garbage_duration)),
     ]

@@ -96,9 +96,11 @@ class KvStore:
             client, seq = dedup
             session = self._sessions.setdefault(client, {})
             session[seq] = result
-            if len(session) > SESSION_WINDOW:
-                for stale in sorted(session)[: len(session) - SESSION_WINDOW]:
-                    del session[stale]
+            # Smallest sequence number first (they arrive out of order).
+            # One over the window in steady state, so one min() per op;
+            # more only right after absorb() merged two sessions.
+            while len(session) > SESSION_WINDOW:
+                del session[min(session)]
         return result
 
     def _execute(self, op: KvOp) -> KvResult:

@@ -14,14 +14,16 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.linearizability import check_history
 from repro.consensus.commands import Command
 from repro.consensus.harness import build_cluster, current_leader
-from repro.consensus.log import PaxosLog
+from repro.consensus.log import LogEntry, PaxosLog
 from repro.consensus.replica import PaxosConfig
 from repro.dht.client import ClientConfig, ScatterClient
 from repro.dht.messages import ClientOpReq, ClientOpResp
+from repro.dht import scatter as scatter_module
 from repro.dht.ring import KEY_SPACE, KeyRange
 from repro.group.info import GroupInfo
 from repro.harness.builders import (
@@ -29,12 +31,14 @@ from repro.harness.builders import (
     build_scatter_deployment,
     experiment_scatter_config,
 )
+from repro.net.futures import Future
 from repro.net.node import Node
 from repro.obs import Tracer, tracing
+from repro.obs.spans import GROUP_FOLLOWER_READ
 from repro.sim.loop import Simulator
 from repro.sim.network import SimNetwork
 from repro.sim.latency import ConstantLatency
-from repro.store.kvstore import OP_GET, KvResult
+from repro.store.kvstore import OP_GET, OP_PUT, KvOp, KvResult
 from repro.workloads import UniformKeys
 from repro.workloads.driver import ClosedLoopWorkload
 
@@ -102,6 +106,24 @@ class TestGrants:
         entry.accepted_value = Command.app("w")
         assert replica.follower_read_refusal("k") == "window"
 
+    def test_caught_up_entry_above_a_hole_blocks_its_key_only(self):
+        # An entry learned through catch-up is chosen but was never
+        # accepted here (accepted_ballot is None).  Sitting above a hole
+        # it cannot apply yet, so it is in the window: its key bounces,
+        # the hole is skipped, and another key is still served.
+        sim, net, hosts = make_cluster(PaxosConfig(follower_reads=True, **FAST))
+        _leader, followers = split_roles(hosts)
+        replica = followers[0].replica
+        replica.write_keys_fn = lambda cmd: (frozenset((cmd.payload,)), False)
+        slot = replica.applied_index + 2
+        replica.log.mark_chosen(slot, Command.app("k"))
+        entry = replica.log.get(slot)
+        assert entry.chosen and entry.accepted_ballot is None
+        assert replica.log.get(slot - 1) is None
+        assert replica.applied_index == slot - 2
+        assert replica.follower_read_refusal("k") == "window"
+        assert replica.follower_read_refusal("other") is None
+
     def test_write_waits_for_partitioned_grantee(self):
         # Quorum expansion: while a follower's grant is live, a write is
         # not chosen on a bare majority that excludes it — otherwise that
@@ -149,6 +171,59 @@ class TestGrants:
         assert future.done and future.exception is None
 
 
+class _SortedScanLog(PaxosLog):
+    """The scans as they were before the log tracked its top slot: sort
+    or filter every retained key.  Kept here only, as the oracle."""
+
+    def entry(self, slot):
+        if slot < self.first_slot:
+            raise KeyError(slot)
+        if slot not in self._entries:
+            self._entries[slot] = LogEntry()
+        return self._entries[slot]
+
+    def _drop_below(self, slot):
+        for s in [s for s in self._entries if s < slot]:
+            del self._entries[s]
+        self.first_slot = max(self.first_slot, slot)
+        self.commit_index = max(self.commit_index, self.first_slot - 1)
+        while self.is_chosen(self.commit_index + 1):
+            self.commit_index += 1
+
+    @property
+    def max_slot(self):
+        return max(self._entries, default=-1)
+
+    def accepted_from(self, from_slot):
+        out = []
+        for slot in sorted(self._entries):
+            if slot < from_slot:
+                continue
+            e = self._entries[slot]
+            if e.accepted_ballot is not None:
+                out.append((slot, e.accepted_ballot, e.accepted_value))
+        return out
+
+    def pending_values(self, from_slot):
+        out = []
+        for slot in sorted(self._entries):
+            if slot < from_slot:
+                continue
+            e = self._entries[slot]
+            if e.chosen or e.accepted_ballot is not None:
+                out.append(e.accepted_value)
+        return out
+
+
+_LOG_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["entry", "accept", "choose", "truncate", "reset"]),
+        st.integers(min_value=0, max_value=24),
+    ),
+    max_size=60,
+)
+
+
 class TestPendingValues:
     def test_covers_accepted_and_chosen_unapplied(self):
         log = PaxosLog()
@@ -160,6 +235,44 @@ class TestPendingValues:
         assert log.pending_values(1) == ["chosen-unapplied", "accepted"]
         assert log.pending_values(2) == ["accepted"]
         assert log.pending_values(3) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(_LOG_OPS)
+    def test_range_walks_match_the_sorted_scans(self, ops):
+        # Random entry / accept / mark_chosen / truncate_before /
+        # reset_to sequences, holes included (a bare ``entry`` leaves an
+        # empty slot; slots are touched in any order).  After every step
+        # the log agrees with the sorted-scan oracle on every scan, from
+        # every starting slot, and on what it retains.
+        log, oracle = PaxosLog(), _SortedScanLog()
+        for op, slot in ops:
+            outcomes = []
+            for target in (log, oracle):
+                try:
+                    if op == "entry":
+                        target.entry(slot)
+                    elif op == "accept":
+                        e = target.entry(slot)
+                        e.accepted_ballot, e.accepted_value = (1, "n0"), ("v", slot)
+                    elif op == "choose":
+                        target.mark_chosen(slot, ("v", slot))
+                    elif op == "truncate":
+                        target.truncate_before(slot)
+                    else:
+                        target.reset_to(slot)
+                    outcomes.append(None)
+                except (KeyError, ValueError) as exc:
+                    outcomes.append(type(exc))
+            assert outcomes[0] == outcomes[1]
+            assert sorted(log._entries) == sorted(oracle._entries)
+            assert (log.first_slot, log.commit_index) == (
+                oracle.first_slot,
+                oracle.commit_index,
+            )
+            assert log.max_slot == oracle.max_slot
+            for from_slot in range(0, 27):
+                assert log.pending_values(from_slot) == oracle.pending_values(from_slot)
+                assert log.accepted_from(from_slot) == oracle.accepted_from(from_slot)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +394,105 @@ class TestServing:
             assert last.result().value == 2
         result = check_history(client.records)
         assert result.ok, result.violations
+
+
+# ---------------------------------------------------------------------------
+# An answer known on the spot is a value; only a log op is a Future
+# ---------------------------------------------------------------------------
+class TestSynchronousAnswers:
+    KEY = 7
+
+    def rig(self, op_service_time=0.0):
+        paxos = PaxosConfig(
+            heartbeat_interval=0.1,
+            election_timeout=0.9,
+            lease_duration=0.7,
+            retry_interval=0.4,
+            follower_reads=True,
+        )
+        deployment = build_scatter_deployment(
+            DeploymentParams(n_nodes=3, n_groups=1, n_clients=0, seed=4),
+            config=experiment_scatter_config(
+                paxos=paxos, op_service_time=op_service_time
+            ),
+        )
+        sim, system = deployment.sim, deployment.system
+        (gid,) = system.active_groups()
+        leader = system.leader_of(gid)
+        follower = next(
+            node.groups[gid]
+            for node in system.nodes.values()
+            if node.groups[gid] is not leader
+        )
+        probe = Node("probe", sim, deployment.net)
+        return sim, probe, leader, follower
+
+    def ask(self, sim, probe, replica, op):
+        reply = probe.request(replica.host.node_id, ClientOpReq(op=op), timeout=1.0)
+        sim.run_for(0.2)
+        return reply.result()
+
+    @pytest.mark.parametrize("op_service_time", [0.0, 0.002])
+    def test_reads_and_writes_reach_the_client_as_before(
+        self, op_service_time, monkeypatch
+    ):
+        mapped = []
+        real_map = scatter_module._map_future
+        monkeypatch.setattr(
+            scatter_module,
+            "_map_future",
+            lambda source, fn: mapped.append(source) or real_map(source, fn),
+        )
+        with tracing(Tracer()) as tracer:
+            sim, probe, leader, follower = self.rig(op_service_time)
+            counters = tracer.metrics.counters
+            put = self.ask(sim, probe, leader, KvOp(OP_PUT, self.KEY, "v"))
+            assert put == ClientOpResp(status="ok", result=KvResult(ok=True, version=1))
+            assert len(mapped) == 1  # the Put waited on the log
+            sim.run_for(0.3)  # the follower applies it and holds a fresh grant
+
+            expected = ClientOpResp(
+                status="ok", result=KvResult(ok=True, value="v", version=1)
+            )
+            assert self.ask(sim, probe, leader, KvOp(OP_GET, self.KEY)) == expected
+            assert counters["group.lease_reads"] == 1
+            assert counters.get("reads.follower", 0) == 0
+            assert self.ask(sim, probe, follower, KvOp(OP_GET, self.KEY)) == expected
+            assert counters["reads.follower"] == 1
+            assert counters["group.lease_reads"] == 1
+            (span,) = tracer.spans_of(GROUP_FOLLOWER_READ)
+            assert span.attrs["outcome"] == "served" and span.attrs["key"] == self.KEY
+            missing = self.ask(sim, probe, follower, KvOp(OP_GET, self.KEY + 1))
+            assert missing == ClientOpResp(
+                status="ok", result=KvResult(ok=False, error="not_found")
+            )
+            assert len(mapped) == 1  # no read built a Future chain
+            assert counters["group.log_ops"] == 1
+
+    def test_only_an_op_that_waits_on_the_log_is_a_future(self):
+        with tracing(Tracer()) as tracer:
+            sim, probe, leader, follower = self.rig()
+            counters = tracer.metrics.counters
+            get = KvOp(OP_GET, self.KEY)
+            assert leader.client_op(get) == KvResult(ok=False, error="not_found")
+            assert follower.follower_read(get) == KvResult(ok=False, error="not_found")
+            put = leader.client_op(KvOp(OP_PUT, self.KEY, "v"), ("c", 1))
+            assert isinstance(put, Future) and not put.done
+            sim.run_for(0.2)
+            assert put.result() == KvResult(ok=True, version=1)
+            # A leader whose lease has lapsed must not answer from its
+            # store: the Get goes through the log like a write.
+            leader.paxos._lease_until = sim.now
+            assert not leader.paxos.lease_active
+            logged = counters["group.log_ops"]
+            slow = leader.client_op(get)
+            assert isinstance(slow, Future) and not slow.done
+            assert counters["group.log_ops"] == logged + 1
+            assert counters.get("group.lease_reads", 0) == 1
+            sim.run_for(0.2)
+            assert slow.result() == KvResult(ok=True, value="v", version=1)
+            resp = self.ask(sim, probe, leader, get)
+            assert resp == ClientOpResp(status="ok", result=slow.result())
 
 
 # ---------------------------------------------------------------------------

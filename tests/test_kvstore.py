@@ -1,10 +1,13 @@
 """Unit and property tests for the versioned KV state machine."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.store import KvOp, KvStore, OP_CAS, OP_DELETE, OP_GET, OP_PUT
+from repro.store.kvstore import SESSION_WINDOW
 
 
 class TestBasicOps:
@@ -164,6 +167,47 @@ class TestRangeMovement:
         fresh = KvStore()
         fresh.absorb(snap)
         assert fresh.keys() == s.keys()
+
+
+class TestSessionWindow:
+    """The per-client window keeps the largest sequence numbers, whatever
+    order they arrive in.  The oracle is the sort the store used to run
+    on every op; it lives here only."""
+
+    def test_out_of_order_seqs_keep_the_largest(self):
+        rng = random.Random(9)
+        pairs = [(f"c{i % 2}", seq) for i, seq in enumerate(rng.sample(range(1, 2001), 400))]
+        store = KvStore()
+        expected = {"c0": [], "c1": []}
+        for client, seq in pairs:
+            store.apply(KvOp(OP_PUT, seq % 7, seq), dedup=(client, seq))
+            expected[client] = sorted(expected[client] + [seq])[-SESSION_WINDOW:]
+            for name, seqs in expected.items():
+                assert sorted(store._sessions.get(name, ())) == seqs
+        assert len(store._sessions["c0"]) == SESSION_WINDOW
+        # A seq below the whole window is applied, recorded and dropped
+        # at once: its replay is no longer suppressed, as before.
+        low = min(expected["c0"]) - 1
+        store.apply(KvOp(OP_PUT, 99, "first"), dedup=("c0", low))
+        assert sorted(store._sessions["c0"]) == expected["c0"]
+        store.apply(KvOp(OP_PUT, 99, "again"), dedup=("c0", low))
+        assert store.get(99).value == "again"
+
+    def test_range_movement_carries_the_same_sessions(self):
+        a, b = KvStore(), KvStore()
+        for seq in range(1, SESSION_WINDOW + 1):
+            a.apply(KvOp(OP_PUT, seq, seq), dedup=("c", 2 * seq))
+            b.apply(KvOp(OP_PUT, 1000 + seq, seq), dedup=("c", 2 * seq + 1))
+        sessions = {c: dict(seqs) for c, seqs in a._sessions.items()}
+        assert a.snapshot().sessions == sessions
+        assert a.extract_copy([1]).sessions == sessions
+        assert list(a.snapshot().sessions["c"]) == list(sessions["c"])  # order too
+        a.absorb(b.extract(b.keys()))
+        merged = sorted(a._sessions["c"])
+        assert len(merged) == 2 * SESSION_WINDOW  # absorb never trims
+        # The next apply trims the whole excess, smallest first.
+        a.apply(KvOp(OP_PUT, 5, "new"), dedup=("c", 10_000))
+        assert sorted(a._sessions["c"]) == (merged + [10_000])[-SESSION_WINDOW:]
 
 
 @settings(max_examples=200, deadline=None)

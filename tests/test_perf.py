@@ -25,6 +25,7 @@ BENCH_NAMES = {
     "e2e_scatter_ops",
     "write_path_saturation",
     "wal_fsync_per_ack",
+    "follower_read_window",
     "accept_msgs_per_slot",
     "cyclic_garbage_per_op",
 }
@@ -44,7 +45,8 @@ class TestMicrobenchmarks:
             assert bench["wall_s"] > 0
             assert bench["units_completed"] > 0
             assert bench["metric"] in (
-                "events_per_s", "msgs_per_s", "lookups_per_s", "pairs_per_s", "ops_per_s"
+                "events_per_s", "msgs_per_s", "lookups_per_s", "pairs_per_s", "ops_per_s",
+                "checks_per_s",
             )
 
     def test_e2e_reports_ops(self, quick_report):
@@ -62,6 +64,9 @@ class TestMicrobenchmarks:
         # Per-ack WAL cost is flat in log length; a barrier that scans
         # the whole log measures 9.8 here.
         assert by_name["wal_fsync_per_ack"]["cost_ratio_10k_vs_100"] < 3.0
+        # So is a follower read's conflict check: the window is the slots
+        # above the applied prefix; sorting the retained log measures 6.7.
+        assert by_name["follower_read_window"]["cost_ratio_400_vs_10"] < 3.0
 
     def test_render_report(self, quick_report):
         text = render_report(quick_report)
