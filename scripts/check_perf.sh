@@ -13,8 +13,8 @@ PYTHONPATH=src python -m repro perf --json BENCH_SIM.json --fail-below 0.6 "$@"
 
 # The scale-out microbenchmarks must stay in the report, and their
 # in-process A/B ratios (both paths timed in the same run, so immune to
-# machine-to-machine throughput noise) must hold their floors: pooled
-# direct dispatch beats the unpooled delivery path, and the bisect
+# machine-to-machine throughput noise) must hold their floors: direct
+# dispatch beats the checked delivery path, and the bisect
 # routing table beats the linear successor scan.  The WAL's per-ack cost
 # is the same kind of number with a ceiling: an append + fsync pair on a
 # 10,000-record log must cost under twice what it does on a 100-record one,
@@ -39,9 +39,9 @@ for name in (
     if name not in by_name:
         failures.append(f"{name} missing from BENCH_SIM.json")
 if "pooled_send_deliver" in by_name:
-    ratio = by_name["pooled_send_deliver"].get("speedup_vs_unpooled", 0.0)
+    ratio = by_name["pooled_send_deliver"].get("speedup_vs_checked", 0.0)
     if ratio < 1.2:
-        failures.append(f"pooled_send_deliver speedup_vs_unpooled {ratio} < 1.2")
+        failures.append(f"pooled_send_deliver speedup_vs_checked {ratio} < 1.2")
 if "ring_lookup_10k" in by_name:
     ratio = by_name["ring_lookup_10k"].get("speedup_vs_linear", 0.0)
     if ratio < 1.5:

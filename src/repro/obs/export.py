@@ -149,12 +149,12 @@ def render_breakdown(tracer: Tracer) -> str:
         f"  dropped {_num(m.counter('net.dropped'))}  to-dead {_num(m.counter('net.to_dead'))}"
         f"  duplicated {_num(m.counter('net.duplicated'))}"
     )
-    by_type = sorted(
+    per_type = sorted(
         ((name[len("net.msg."):], count) for name, count in m.counters.items()
          if name.startswith("net.msg.")),
         key=lambda item: (-item[1], item[0]),
     )
-    for name, count in by_type[:8]:
+    for name, count in per_type[:8]:
         lines.append(f"    {name:<18} {_num(count):>10}  ({_pct(count, sent)})")
     if ops:
         lines.append(f"  msgs/client-op:    {sent / ops:.1f} (all protocol traffic)")

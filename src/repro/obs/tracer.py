@@ -29,6 +29,11 @@ from repro.obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:
     from repro.sim.loop import Simulator
+    from repro.sim.network import NetworkStats
+
+# NetworkStats fields the tracer reads as ``net.<field>`` deltas at each
+# run-loop exit (``sent`` is counted per send by :meth:`Tracer.note_send`).
+_FOLDED_NET_STATS = ("delivered", "dropped", "to_dead", "duplicated")
 
 
 class Span:
@@ -90,6 +95,8 @@ class Tracer:
         self._clock: Callable[[], float] | None = None
         self._next_span_id = 1
         self._open = 0
+        # (stats, values at the last flush) per network built while bound.
+        self._networks: list[tuple["NetworkStats", dict[str, int]]] = []
 
     # ------------------------------------------------------------------
     # Binding
@@ -165,6 +172,29 @@ class Tracer:
             inner = getattr(body, "inner", None)
             name = type(body if inner is None else inner).__name__
         metrics.inc("net.msg." + name)
+
+    def watch_network(self, stats: "NetworkStats") -> None:
+        """Report ``stats`` as ``net.*`` counters; called by ``SimNetwork``."""
+        self._networks.append(
+            (stats, {name: getattr(stats, name) for name in _FOLDED_NET_STATS})
+        )
+
+    def flush(self, events: int) -> None:
+        """Fold a run loop's work into the counters; called as it exits.
+
+        ``sim.events`` gains the loop's event count and each ``net.*``
+        counter what its network's stats gained since the last flush, so
+        delivery stays free of tracer calls and a traced run dispatches
+        exactly like an untraced one.
+        """
+        metrics = self.metrics
+        metrics.inc("sim.events", events)
+        for stats, seen in self._networks:
+            for name in _FOLDED_NET_STATS:
+                value = getattr(stats, name)
+                if value != seen[name]:
+                    metrics.inc("net." + name, value - seen[name])
+                    seen[name] = value
 
     @property
     def open_spans(self) -> int:

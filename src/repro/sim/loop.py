@@ -16,20 +16,22 @@ from repro.sim.events import EventHandle, EventQueue
 # measurable at millions of events per second.  Layout: [time, seq, fn,
 # args] with fn None once cancelled or popped (see events.py).
 #
-# Direct-dispatch delivery entries (see SimNetwork's fast send path)
-# are 7-slot lists [time, seq, handler, [src, msg], stats, dst, net]:
-# the event function IS the destination handler, so a message delivery
-# runs straight from the loop with no network frame in between — the
-# replica-local delivery fast path.  Because ``seq`` is unique, heap
-# comparison never reads past index 1, so the extra slots are inert.
+# Direct-dispatch delivery entries (SimNetwork's send while no fault is
+# active, traced or not) are 7-slot lists
+# [time, seq, handler, [src, msg], stats, dst, net]: the event function
+# IS the destination handler, so a message delivery runs straight from
+# the loop with no network frame in between.  Because ``seq`` is unique,
+# heap comparison never reads past index 1, so the extra slots are inert.
 # The loop finishes the network's bookkeeping (stats.delivered) after
 # the handler returns and recycles the entry into ``Simulator._msg_pool``
 # with its argument slots cleared, so message objects are not pinned
 # and steady-state delivery allocates nothing.  All of it is invisible
 # to simulation results: a direct entry consumes the same sequence
 # number, sorts identically, and runs the same handler at the same time
-# as a classic _deliver entry; SimNetwork de-optimizes in-flight
-# entries whenever a delivery-time check could become non-vacuous.
+# as a checked _deliver entry; SimNetwork de-optimizes in-flight
+# entries whenever a delivery-time check could become non-vacuous.  A
+# tracer sees the delivery through ``stats`` when the loop exits
+# (``Tracer.flush``), never per event.
 
 # Upper bound on recycled delivery entries kept around; beyond this the
 # pool stops growing and entries fall back to the garbage collector.
@@ -83,9 +85,10 @@ class Simulator:
     adding a new consumer of randomness never perturbs existing streams.
 
     The run loops (:meth:`run`, :meth:`run_until`) operate directly on
-    the event heap rather than going through :meth:`step` — at millions
-    of events per run the per-event method-call overhead is the dominant
-    cost, and the ``repro.perf`` microbenchmarks track exactly this.
+    the event heap with no per-event method call — at millions of events
+    per run that overhead is the dominant cost, and the ``repro.perf``
+    microbenchmarks track exactly this.  :meth:`step` is ``run`` capped
+    at one event.
     """
 
     def __init__(self, seed: int = 0) -> None:
@@ -95,9 +98,9 @@ class Simulator:
         self._rngs: dict[str, random.Random] = {}
         self._stopped = False
         self._events_processed = 0
-        # Recycled 5-slot delivery entries for the pooled network send
-        # path (see module comment).  Shared by every network bound to
-        # this simulator; only the run loops below ever refill it.
+        # Recycled 7-slot direct-dispatch delivery entries (see module
+        # comment).  Shared by every network bound to this simulator;
+        # only the run loops below ever refill it.
         self._msg_pool: list[list] = []
         # Ambient tracing hookup (repro.obs): consulted exactly once, at
         # construction.  ``tracer`` is None in the untraced default, so
@@ -185,31 +188,9 @@ class Simulator:
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Process one event.  Returns False when the queue is empty."""
-        queue = self._queue
-        heap = queue._heap
-        while heap:
-            entry = heappop(heap)
-            fn = entry[2]
-            if fn is None:
-                continue
-            entry[2] = None
-            queue._live -= 1
-            assert entry[0] >= self._now, "event heap returned a past event"
-            self._now = entry[0]
-            self._events_processed += 1
-            # Same direct-dispatch bookkeeping as the run loops (module
-            # comment), so single-stepping stays result-identical.
-            if len(entry) == 7:
-                args = entry[3]
-                fn(args[0], args[1])
-                entry[4].delivered += 1
-                if len(self._msg_pool) < _MSG_POOL_CAP:
-                    args[0] = args[1] = None
-                    self._msg_pool.append(entry)
-            else:
-                fn(*entry[3])
-            return True
-        return False
+        before = self._events_processed
+        self.run(max_events=1)
+        return self._events_processed > before
 
     def run(self, max_events: int | None = None) -> None:
         """Run until the queue drains (or ``max_events`` is hit)."""
@@ -259,7 +240,7 @@ class Simulator:
                 queue._live -= processed
                 self._events_processed += processed
                 if self.tracer is not None:
-                    self.tracer.metrics.inc("sim.events", processed)
+                    self.tracer.flush(processed)
 
     def run_until(self, time: float) -> None:
         """Run events with timestamp <= ``time``; leave the clock at ``time``.
@@ -303,7 +284,7 @@ class Simulator:
                 queue._live -= processed
                 self._events_processed += processed
                 if self.tracer is not None:
-                    self.tracer.metrics.inc("sim.events", processed)
+                    self.tracer.flush(processed)
         if self._now < time:
             self._now = time
 

@@ -22,12 +22,16 @@ behaviour is deterministic in (seed, configuration).
 
 Messages are delivered in timestamp order but *not* FIFO per link when the
 latency model is non-constant — exactly the asynchrony Paxos must handle.
+
+A message takes one of two routes, traced run or not: direct dispatch
+(the run loop calls the destination handler itself) while no fault
+feature is active, and the checked ``_deliver`` path while one is.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappush
 from typing import Any, Callable
 
@@ -39,12 +43,11 @@ Handler = Callable[[str, Any], None]
 
 @dataclass
 class NetworkStats:
-    """Counters for traffic accounting (used by the scalability bench).
+    """Counters for traffic accounting.
 
-    Per-message-type counting (``by_type``) costs a ``type(msg).__name__``
-    plus dict churn on *every* send, so it is opt-in: benches that read
-    the breakdown set ``count_types=True``; everyone else pays only the
-    integer increments.
+    A traced run reads them as ``net.*`` counters: ``net.sent`` per send
+    (with ``net.msg.<Type>``, see ``Tracer.note_send``), the rest folded
+    in as deltas whenever a run loop exits (``Tracer.flush``).
     """
 
     sent: int = 0
@@ -52,14 +55,6 @@ class NetworkStats:
     dropped: int = 0
     to_dead: int = 0
     duplicated: int = 0
-    count_types: bool = False
-    by_type: dict[str, int] = field(default_factory=dict)
-
-    def note_sent(self, msg: Any) -> None:
-        self.sent += 1
-        if self.count_types:
-            name = type(msg).__name__
-            self.by_type[name] = self.by_type.get(name, 0) + 1
 
 
 class SimNetwork:
@@ -71,7 +66,6 @@ class SimNetwork:
         latency: LatencyModel | None = None,
         drop_prob: float = 0.0,
         dup_prob: float = 0.0,
-        pooling: bool = True,
     ) -> None:
         if not 0.0 <= drop_prob < 1.0:
             raise ValueError("drop_prob must be in [0, 1)")
@@ -88,21 +82,19 @@ class SimNetwork:
         self._slowdowns: dict[tuple[str, str], float] = {}
         self._rng = sim.rng("net")
         # Cached from the simulator at construction (see repro.obs): None
-        # when tracing is off, so every accounting site below costs one
-        # attribute load plus a falsy branch.
+        # when tracing is off, so the one per-send accounting site costs
+        # an attribute load plus a falsy branch.  The tracer reads every
+        # other counter from ``stats`` when a run loop exits.
         self._tracer = sim.tracer
-        # Per-message constant-cost attacks, togglable for A/B determinism
-        # guards (tests/test_sim_pooling.py).  ``pooling`` covers the
-        # whole complex: direct-dispatch delivery entries (the run loop
-        # calls the destination handler with no network frame in
-        # between), recycling of those entries through the simulator's
-        # message pool, and the cached constant latency (skipping the
-        # sample() call for models that draw no randomness).  All of it
-        # is result-invisible: same sequence numbers, same RNG draws,
-        # same delivery times, same handler calls — and any mutation
-        # that could make a delivery-time check non-vacuous de-optimizes
-        # the in-flight entries (see _deopt_in_flight).
-        self._pooling = pooling
+        if self._tracer is not None:
+            self._tracer.watch_network(self.stats)
+        # Direct dispatch (see send) and the cached constant latency,
+        # which skips the sample() call for models that draw no
+        # randomness, are result-invisible: same sequence numbers, same
+        # RNG draws, same delivery times, same handler calls as the
+        # checked path — and any mutation that could make a delivery-time
+        # check non-vacuous de-optimizes the in-flight entries (see
+        # _deopt_in_flight).
         self._const_delay = (
             self.latency.latency if type(self.latency) is ConstantLatency else None
         )
@@ -113,49 +105,42 @@ class SimNetwork:
         self._handlers_get = self._handlers.get
         self._equeue = sim._queue
         self._pool = sim._msg_pool
-        self._fault_free = True
-        self._fast = False
+        self._fault_free = False
         self._refresh_fast_path()
 
     # ------------------------------------------------------------------
     # Fault-free fast path bookkeeping
     # ------------------------------------------------------------------
-    # ``send`` skips all send-time fault checks when no fault feature is
-    # active — the overwhelmingly common case in scalability runs.  The
-    # flag is recomputed on every fault-state mutation, never per send.
-    # Delivery re-reads the *current* flag, so a fault injected while a
+    # ``send`` dispatches directly, skipping every fault check, while no
+    # fault feature is active — the overwhelmingly common case in
+    # scalability runs, traced or not.  The flag is recomputed on every
+    # fault-state mutation, never per send.  A fault injected while a
     # message is in flight still applies (e.g. the destination crashes
-    # before delivery): only when no fault exists at delivery time are
-    # the vacuous per-message checks elided.  The fast path consumes
-    # exactly the same RNG stream as the slow path with faults disabled
-    # (only the latency sample), so seeded runs are bit-identical either
-    # way.
+    # before delivery): the mutation rewrites in-flight direct entries
+    # into checked ones.  Both paths consume exactly the same RNG stream
+    # with faults disabled (only the latency sample), so seeded runs are
+    # bit-identical either way.
     def _refresh_fast_path(self) -> None:
-        self._fault_free = not (
+        fault_free = not (
             self._drop_prob
             or self._dup_prob
             or self._down
             or self._blocked_pairs
             or self._slowdowns
         )
-        # Direct dispatch additionally requires pooling and no tracer:
-        # a traced run wants per-delivery metrics, which only the
-        # _deliver frame produces.
-        fast = self._fault_free and self._pooling and self._tracer is None
-        if self._fast and not fast:
+        if self._fault_free and not fault_free:
             self._deopt_in_flight()
-        self._fast = fast
+        self._fault_free = fault_free
 
     def _fault_appeared(self) -> None:
-        """A fault feature just became active: leave the fast paths.
+        """A fault feature just became active: leave the fast path.
 
         Split from :meth:`_refresh_fast_path` so the O(n^2) ``block``
         storm of :meth:`partition` pays one heap scan, not one per pair.
         """
-        self._fault_free = False
-        if self._fast:
+        if self._fault_free:
             self._deopt_in_flight()
-            self._fast = False
+            self._fault_free = False
 
     def _deopt_in_flight(self) -> None:
         """Rewrite in-flight direct-dispatch entries into checked deliveries.
@@ -164,7 +149,7 @@ class SimNetwork:
         skips every delivery-time check — valid only while nothing can
         change between send and delivery.  The moment a fault feature
         activates or the handler registry changes, each such entry is
-        rewritten *in place* into a classic ``_deliver`` entry (same
+        rewritten *in place* into a checked ``_deliver`` entry (same
         time, same sequence number, so heap order is untouched) whose
         checks run with delivery-time state.  Entries belonging to other
         networks on the same simulator are rewritten too — harmless, as
@@ -172,7 +157,7 @@ class SimNetwork:
 
         The scan is O(heap), but every call site is off the per-message
         path: the first fault mutation after a fast-path stretch (later
-        mutations are guarded by ``_fast`` being already off) or a
+        mutations are guarded by ``_fault_free`` being already off) or a
         handler-registry change (``Node.leave`` / handler replacement —
         churn-rate events).
         """
@@ -340,25 +325,26 @@ class SimNetwork:
         lost when the destination crashes in flight — the realistic case).
 
         When no fault feature is active (no drops, dups, downed nodes,
-        blocks, or slowdowns) a fast path skips every send-time check and
-        schedules delivery fire-and-forget.  Both paths sample the same
-        latency from the same RNG stream, so results are seed-identical.
+        blocks, or slowdowns) and ``dst`` has a handler, delivery is
+        direct dispatch and skips every check.  Both paths sample the
+        same latency from the same RNG stream and take the same sequence
+        number, so results are seed-identical.
         """
         stats = self.stats
         stats.sent += 1
-        if stats.count_types:
-            name = type(msg).__name__
-            stats.by_type[name] = stats.by_type.get(name, 0) + 1
-        if self._fast:
-            # Direct-dispatch path (pooling on, no faults, no tracer):
-            # resolve the destination handler *now* and schedule it as
-            # the event function itself, so delivery runs the handler
-            # straight from the run loop with no _deliver frame in
-            # between.  Entries are 7-slot lists (see sim/loop.py) that
-            # the run loop recycles through ``sim._msg_pool`` — zero
-            # allocations per message in steady state.  Anything that
-            # could invalidate the baked-in handler or skipped checks
-            # de-optimizes in-flight entries (_deopt_in_flight).
+        tracer = self._tracer
+        if tracer is not None:
+            tracer.note_send(msg)
+        if self._fault_free:
+            # Direct dispatch: resolve the destination handler *now* and
+            # schedule it as the event function itself, so delivery runs
+            # the handler straight from the run loop with no _deliver
+            # frame in between.  Entries are 7-slot lists (see
+            # sim/loop.py) that the run loop recycles through
+            # ``sim._msg_pool`` — zero allocations per message in steady
+            # state.  Anything that could invalidate the baked-in handler
+            # or skipped checks de-optimizes in-flight entries
+            # (_deopt_in_flight).
             handler = self._handlers_get(dst)
             if handler is not None:
                 sim = self.sim
@@ -393,50 +379,21 @@ class SimNetwork:
                 queue._seq = seq + 1
                 queue._live += 1
                 return
-            # No handler at send time: fall through to a checked
-            # delivery so the to_dead accounting happens at delivery
-            # time, exactly like the historical path (the destination
-            # may also register while the message is in flight).
-        tracer = self._tracer
-        if tracer is not None:
-            tracer.note_send(msg)
-        if self._fault_free:
-            # Inlined sim.schedule_fire: one heap entry, no handle, no
-            # intermediate frames — this line runs once per message.
-            sim = self.sim
-            queue = sim._queue
-            delay = self._const_delay if self._pooling else None
-            if delay is None:
-                delay = self.latency.sample(src, dst, self._rng)
-            heappush(
-                queue._heap,
-                [sim._now + delay, queue._seq, self._deliver, (src, dst, msg)],
-            )
-            queue._seq += 1
-            queue._live += 1
-            return
-        if src in self._down:
+            # No handler at send time: the checked path below draws the
+            # same latency and sequence number and counts to_dead at
+            # delivery (the destination may also register in flight).
+        if (
+            src in self._down
+            or (src, dst) in self._blocked_pairs
+            or (self._drop_prob > 0 and self._rng.random() < self._drop_prob)
+        ):
             stats.dropped += 1
-            if tracer is not None:
-                tracer.metrics.inc("net.dropped")
-            return
-        if (src, dst) in self._blocked_pairs:
-            stats.dropped += 1
-            if tracer is not None:
-                tracer.metrics.inc("net.dropped")
-            return
-        if self._drop_prob > 0 and self._rng.random() < self._drop_prob:
-            stats.dropped += 1
-            if tracer is not None:
-                tracer.metrics.inc("net.dropped")
             return
         self._schedule_delivery(src, dst, msg)
         if self._dup_prob > 0 and self._rng.random() < self._dup_prob:
             # A duplicate travels independently: its own latency sample,
             # so it may arrive before *or* after the original.
             stats.duplicated += 1
-            if tracer is not None:
-                tracer.metrics.inc("net.duplicated")
             self._schedule_delivery(src, dst, msg)
 
     def _schedule_delivery(self, src: str, dst: str, msg: Any) -> None:
@@ -447,39 +404,11 @@ class SimNetwork:
         self.sim.schedule_fire(delay, self._deliver, src, dst, msg)
 
     def _deliver(self, src: str, dst: str, msg: Any) -> None:
-        if self._fault_free and self._pooling:
-            # With no fault feature active *at delivery time* the
-            # down/blocked checks are vacuous (both sets are empty —
-            # ``_fault_free`` is recomputed on every fault mutation, so
-            # a fault injected while this message was in flight forces
-            # the full checks below).  Reached for traced runs, for
-            # sends whose destination had no handler, and for de-opted
-            # direct entries whose faults have since healed.
-            handler = self._handlers.get(dst)
-            tracer = self._tracer
-            if handler is None:
-                self.stats.to_dead += 1
-                if tracer is not None:
-                    tracer.metrics.inc("net.to_dead")
-                return
-            self.stats.delivered += 1
-            if tracer is not None:
-                tracer.metrics.inc("net.delivered")
-            handler(src, msg)
-            return
         handler = self._handlers.get(dst)
-        tracer = self._tracer
         if handler is None or dst in self._down:
             self.stats.to_dead += 1
-            if tracer is not None:
-                tracer.metrics.inc("net.to_dead")
-            return
-        if (src, dst) in self._blocked_pairs:
+        elif (src, dst) in self._blocked_pairs:
             self.stats.dropped += 1
-            if tracer is not None:
-                tracer.metrics.inc("net.dropped")
-            return
-        self.stats.delivered += 1
-        if tracer is not None:
-            tracer.metrics.inc("net.delivered")
-        handler(src, msg)
+        else:
+            self.stats.delivered += 1
+            handler(src, msg)

@@ -24,6 +24,7 @@ from repro.obs import (
 )
 from repro.obs.export import dump_jsonl
 from repro.sim.loop import Simulator
+from repro.sim.network import SimNetwork
 from repro.workloads import UniformKeys
 from repro.workloads.driver import ClosedLoopWorkload
 
@@ -214,6 +215,24 @@ class TestTracedDeployment:
             count for name, count in m.counters.items() if name.startswith("net.msg.")
         )
         assert by_type_total == stats.sent
+
+    def test_traced_fault_free_run_never_takes_the_checked_path(self, monkeypatch):
+        # With no fault active and every destination registered, each
+        # message is dispatched directly from the run loop: a tracer
+        # must not route it through SimNetwork._deliver.
+        calls = []
+        checked = SimNetwork._deliver
+
+        def counting(self, src, dst, msg):
+            calls.append(dst)
+            checked(self, src, dst, msg)
+
+        monkeypatch.setattr(SimNetwork, "_deliver", counting)
+        deployment, _fp, tracer = _traced_drive(seed=7)
+        assert deployment.net.stats.delivered > 0
+        assert deployment.net.stats.to_dead == 0
+        assert len(calls) == 0
+        assert tracer.metrics.counter("net.delivered") == deployment.net.stats.delivered
 
     def test_emitted_span_kinds_are_in_the_taxonomy(self):
         _dep, _fp, tracer = _traced_drive(seed=7)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.obs import Tracer, tracing
 from repro.sim import (
     ConstantLatency,
     LogNormalLatency,
@@ -12,6 +13,7 @@ from repro.sim import (
     UniformLatency,
     WanLatencyMatrix,
 )
+from repro.sim.network import NetworkStats
 
 
 class TestLatencyModels:
@@ -168,26 +170,27 @@ class TestSimNetwork:
         assert got == []
 
     def test_stats_by_type_opt_in(self):
-        sim, net = self._net()
-        net.stats.count_types = True
+        # Per-type counts are the tracer's: a traced network reports
+        # each send under net.msg.<payload type>.
+        tracer = Tracer()
+        with tracing(tracer):
+            sim, net = self._net()
         net.register("b", lambda s, m: None)
         net.send("a", "b", 123)
         net.send("a", "b", "str")
         sim.run()
-        assert net.stats.by_type == {"int": 1, "str": 1}
-        assert net.stats.sent == 2
-        assert net.stats.delivered == 2
+        m = tracer.metrics
+        assert (m.counter("net.msg.int"), m.counter("net.msg.str")) == (1, 1)
+        assert m.counter("net.sent") == net.stats.sent == 2
+        assert m.counter("net.delivered") == net.stats.delivered == 2
 
     def test_stats_by_type_off_by_default(self):
-        # Per-type counting does string + dict work per send, so it is
-        # opt-in; the plain counters still tick.
+        # Untraced, the network keeps only the integer counters.
         sim, net = self._net()
         net.register("b", lambda s, m: None)
         net.send("a", "b", 123)
         sim.run()
-        assert net.stats.by_type == {}
-        assert net.stats.sent == 1
-        assert net.stats.delivered == 1
+        assert net.stats == NetworkStats(sent=1, delivered=1)
 
     def test_deterministic_with_same_seed(self):
         def run(seed):

@@ -1,12 +1,13 @@
-"""Zero-perturbation guards for message pooling / direct-dispatch delivery.
+"""Zero-perturbation guards for direct-dispatch delivery.
 
-The pooled send path (7-slot direct-dispatch heap entries recycled
-through ``Simulator._msg_pool``) must be *invisible*: pooling on vs off
-must produce byte-identical results for any seeded run, a recycled
-entry must never leak state between messages, and every mutation that
-could invalidate a baked-in handler (faults, unregister, handler
+While no fault is active, ``SimNetwork.send`` schedules 7-slot heap
+entries whose event function is the destination handler, recycled
+through ``Simulator._msg_pool``.  That path must be *invisible*: a
+recycled entry must never leak state between messages, every mutation
+that could invalidate a baked-in handler (faults, unregister, handler
 replacement) must de-optimize in-flight entries back to fully-checked
-deliveries.
+deliveries, and a traced run — which takes the same route — must
+reproduce the untraced run byte-for-byte.
 """
 
 from __future__ import annotations
@@ -15,27 +16,12 @@ import pytest
 
 from repro.harness.builders import DeploymentParams, build_scatter_deployment
 from repro.harness.experiments import ALL_EXPERIMENTS
+from repro.obs import Tracer, tracing
 from repro.sim.latency import ConstantLatency
 from repro.sim.loop import Simulator
 from repro.sim.network import SimNetwork
 from repro.workloads import UniformKeys
 from repro.workloads.driver import ClosedLoopWorkload
-
-
-def _pooling_off(monkeypatch) -> None:
-    """Build every subsequent SimNetwork with ``pooling=False``.
-
-    Experiments and deployment builders construct their networks
-    internally; forcing the constructor default is the honest A/B —
-    the exact same code paths run, only the pooled complex is off.
-    """
-    original = SimNetwork.__init__
-
-    def patched(self, sim, latency=None, drop_prob=0.0, dup_prob=0.0, pooling=True):
-        original(self, sim, latency=latency, drop_prob=drop_prob,
-                 dup_prob=dup_prob, pooling=False)
-
-    monkeypatch.setattr(SimNetwork, "__init__", patched)
 
 
 def _deployment_fingerprint(seed: int):
@@ -58,22 +44,28 @@ def _deployment_fingerprint(seed: int):
 
 
 class TestPoolingZeroPerturbation:
-    """Pooling on vs off: same seed => byte-identical observable run."""
+    """Traced vs untraced: same seed => byte-identical observable run.
 
-    def test_deployment_fingerprints_match(self, monkeypatch):
-        pooled = _deployment_fingerprint(21)
-        _pooling_off(monkeypatch)
-        assert _deployment_fingerprint(21) == pooled
+    The names predate the removal of the network's ``pooling`` switch
+    and are kept so the suite's test ids stay stable.  With the switch
+    gone, an installed tracer is the only thing that ever changed which
+    delivery route a fault-free message took, so it is the A/B left.
+    """
+
+    def test_deployment_fingerprints_match(self):
+        plain = _deployment_fingerprint(21)
+        with tracing(Tracer()):
+            assert _deployment_fingerprint(21) == plain
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", ["E1", "E2", "E3", "E4", "E5"])
-def test_experiment_tables_identical_with_pooling_off(name, monkeypatch):
-    """E1-E5 quick mode: pooling off reproduces the pooled tables byte-for-byte."""
-    pooled = ALL_EXPERIMENTS[name](quick=True).table()
-    _pooling_off(monkeypatch)
-    unpooled = ALL_EXPERIMENTS[name](quick=True).table()
-    assert unpooled == pooled
+def test_experiment_tables_identical_with_pooling_off(name):
+    """E1-E5 quick mode: a traced run reproduces the untraced tables byte-for-byte."""
+    plain = ALL_EXPERIMENTS[name](quick=True).table()
+    with tracing(Tracer()):
+        traced = ALL_EXPERIMENTS[name](quick=True).table()
+    assert traced == plain
 
 
 class TestPooledEntryHygiene:
@@ -84,7 +76,7 @@ class TestPooledEntryHygiene:
         net = SimNetwork(sim, latency=ConstantLatency(0.001))
         got: list = []
         net.register("dst", lambda src, msg: got.append(msg))
-        assert net._fast, "fault-free pooled network should be on the fast path"
+        assert net._fault_free, "fault-free network should dispatch directly"
 
         msg_a = {"op": "put", "payload": [1, 2, 3]}
         net.send("src", "dst", msg_a)
@@ -127,7 +119,7 @@ class TestInFlightDeoptimization:
         net = SimNetwork(sim, latency=ConstantLatency(0.01))
         got: list = []
         net.register("dst", lambda src, msg: got.append(("orig", msg)))
-        assert net._fast
+        assert net._fault_free
         return sim, net, got
 
     def test_destination_crash_in_flight_counts_to_dead(self):

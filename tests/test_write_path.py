@@ -44,7 +44,6 @@ FAST = dict(
 def make_cluster(config, storage=None, seed=0, n=3):
     sim = Simulator(seed=seed)
     net = SimNetwork(sim, latency=ConstantLatency(0.005))
-    net.stats.count_types = True
     hosts = build_cluster(sim, net, n=n, config=config, storage=storage)
     sim.run_for(1.0)
     return sim, net, hosts
