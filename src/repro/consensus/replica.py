@@ -20,7 +20,13 @@ machine.  The protocol follows the classic Multi-Paxos structure:
   has committed a no-op in its own ballot — the read barrier) reads are
   served locally without a log round trip.  The simulator has no clock
   skew, and acceptors refuse to promise to a new candidate while the
-  lease they granted is live, so lease reads are linearizable.
+  lease they granted is live, so lease reads are linearizable.  Rounds
+  go every ``heartbeat_interval`` while the leader has work.  A
+  quiescent one (nothing pending, queued or backlogged, no commit since
+  the last round, no follower reads) whose last round every member
+  acked skips ahead and renews every ``lease_duration -
+  heartbeat_interval``, still a full interval before its lease lapses;
+  a commit during the wait sends the round at once.
 - **Reconfiguration**: membership changes are commands in the log,
   restricted to one added or removed member per command, so consecutive
   configurations always have intersecting majorities.  The leader stalls
@@ -254,6 +260,15 @@ class PaxosReplica:
         self._read_barrier_slot: int | None = None
         self._lease_until = -1.0
         self._hb_acks: dict[float, set[str]] = {}
+        # The last heartbeat round: its send time, the members that
+        # acked it and the commit index it carried.  The tick after it
+        # skips to a stretched round only if all of them are unchanged
+        # and complete (see _heartbeat_tick); ``_hb_stretch`` is that
+        # round's timer while it is pending.
+        self._hb_sent = -1.0
+        self._hb_heard: set[str] = set()
+        self._hb_commit_index = -1
+        self._hb_stretch: Any = None
         self.member_last_ack: dict[str, float] = {}
         self._retry_delay: float | None = None
 
@@ -500,6 +515,10 @@ class PaxosReplica:
         self._read_barrier_slot = None
         self._lease_until = -1.0
         self._hb_acks.clear()
+        self._hb_heard.clear()
+        if self._hb_stretch is not None:
+            self._hb_stretch.cancel()
+            self._hb_stretch = None
         self._retry_delay = None
         self._backlog.clear()
         for future in self._proposal_futures.values():
@@ -1171,6 +1190,16 @@ class PaxosReplica:
     def _after_commit_progress(self) -> None:
         if not self.is_leader:
             return
+        stretch = self._hb_stretch
+        if (
+            stretch is not None
+            and stretch.time > self.transport.now
+            and self.log.commit_index != self._hb_commit_index
+        ):
+            # A commit during a stretched wait is news a follower or a
+            # joining member may be waiting on: send the round now.
+            stretch.cancel()
+            self._hb_stretch = self.transport.set_timer(0.0, self._heartbeat_tick, self.ballot)
         if self._barrier_slot is None and not self._backlog:
             if self._read_barrier_slot is None:
                 self._propose_read_barrier()
@@ -1206,6 +1235,28 @@ class PaxosReplica:
                     fail_with=ProposalLost("lost contact with quorum")
                 )
                 return
+        # The tick a heartbeat_interval after a round is a checkpoint.  A
+        # quiescent leader whose round every member acked skips the
+        # rounds that would only repeat it: the next one leaves at
+        # lease_duration - heartbeat_interval after the last, a full
+        # interval before the lease it renews lapses, and every follower
+        # hears it within lease_duration.  Any missing ack, any work and
+        # any follower-read grant keeps heartbeat_interval.
+        wait = self.config.lease_duration - 2 * self.config.heartbeat_interval
+        if self._hb_stretch is None:
+            if (
+                wait > 0
+                and not self._pending
+                and not self._queue
+                and not self._backlog
+                and self.log.commit_index == self._hb_commit_index
+                and not self.config.follower_reads
+                and all(m in self._hb_heard for m in self.members)
+            ):
+                self._hb_stretch = self.transport.set_timer(wait, self._heartbeat_tick, ballot)
+                return
+        else:
+            self._hb_stretch = None
         # The leader is its own lease grantor: refreshing its contact time
         # makes its local acceptor reject foreign Prepares while it is
         # actively heartbeating, like every other member does.
@@ -1225,6 +1276,9 @@ class PaxosReplica:
             self._lease_until = now + self.config.lease_duration
         if self.tracer is not None:
             self.tracer.metrics.inc("paxos.heartbeats")
+        self._hb_sent = now
+        self._hb_heard = {self.replica_id}
+        self._hb_commit_index = self.log.commit_index
         self.transport.set_timer(self.config.heartbeat_interval, self._heartbeat_tick, ballot)
 
     def _send_granting_heartbeats(self, now: float) -> None:
@@ -1309,6 +1363,8 @@ class PaxosReplica:
         if not self.is_leader or msg.ballot != self.ballot:
             return
         self.member_last_ack[src] = self.transport.now
+        if msg.send_time == self._hb_sent:
+            self._hb_heard.add(src)
         acks = self._hb_acks.get(msg.send_time)
         if acks is None:
             return

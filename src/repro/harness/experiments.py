@@ -1536,7 +1536,7 @@ def run_e21(quick: bool = True, seed: int = 21) -> ExperimentResult:
             "event count per measurement window"
         ),
     )
-    sizes = [120, 240] if quick else [500, 1000, 2000]
+    sizes = [120, 240] if quick else [500, 1000, 2000, 5000]
     duration = 6.0 if quick else 30.0
     total_events = 0
     total_wall = 0.0

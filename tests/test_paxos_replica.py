@@ -4,6 +4,7 @@ import pytest
 
 from repro.consensus import Command, NotLeader, PaxosConfig
 from repro.consensus.harness import PaxosHost, build_cluster, current_leader, record_sends
+from repro.harness.builders import EXPERIMENT_PAXOS
 from repro.sim import ConstantLatency, LogNormalLatency, SimNetwork, Simulator
 
 FAST = PaxosConfig(
@@ -406,3 +407,168 @@ class TestLeaderVotesLocally:
         sim.run_for(0.5)
         assert f.result() == "after-duel"
         assert committed_payloads(hosts[1]) == ["after-duel"]
+
+
+DEFAULT = PaxosConfig()
+HB = DEFAULT.heartbeat_interval
+STRETCH = DEFAULT.lease_duration - HB
+
+
+def idle_cluster(config=DEFAULT, seed=0):
+    """A 3-replica group past its election, read barrier and the round after."""
+    sim = Simulator(seed=seed)
+    net = SimNetwork(sim, latency=ConstantLatency(0.005))
+    hosts = build_cluster(sim, net, n=3, config=config)
+    sim.run_for(2.0)
+    return sim, hosts
+
+
+def leader_rounds(sim, host, drop=lambda round_no, dst, kind: False):
+    """Send times of ``host``'s heartbeat rounds from now on.  A message
+    for which ``drop(round_no, dst, kind)`` holds is not sent at all;
+    ``round_no`` numbers the rounds recorded so far from 0."""
+    times = []
+    send = host.replica.transport.send
+
+    def recording(dst, msg):
+        kind = type(msg).__name__
+        if kind == "Heartbeat" and (not times or times[-1] != sim.now):
+            times.append(sim.now)
+        if not drop(len(times) - 1, dst, kind):
+            send(dst, msg)
+
+    host.replica.transport.send = recording
+    return times
+
+
+def next_round(sim, rounds):
+    """Run until another round is recorded; return its send time."""
+    seen = len(rounds)
+    while len(rounds) == seen:
+        sim.run_for(0.001)
+    return rounds[-1]
+
+
+def gaps(times):
+    return [b - a for a, b in zip(times, times[1:])]
+
+
+class TestIdleHeartbeat:
+    """A quiescent leader whose last round reached every member renews
+    once per lease_duration − heartbeat_interval."""
+
+    def test_idle_group_sends_one_round_per_lease(self):
+        sim, hosts = idle_cluster()
+        rounds = leader_rounds(sim, hosts[0])
+        sim.run_for(10.0)
+        assert len(rounds) == 18  # 40 at heartbeat_interval
+        assert gaps(rounds) == [pytest.approx(STRETCH)] * 17
+
+    def test_lease_stays_live_and_no_follower_campaigns(self):
+        sim, hosts = idle_cluster()
+        sent = record_sends(hosts)
+        ballot = hosts[0].replica.ballot
+        dark = 0
+        for _ in range(10_000):  # every 1 ms for 10 idle sim-s
+            sim.run_for(0.001)
+            dark += not hosts[0].replica.lease_active
+        assert dark == 0
+        assert not [m for m in sent if m[2] == "Prepare"]
+        assert hosts[0].replica.ballot == ballot and current_leader(hosts) is hosts[0]
+
+    @pytest.mark.parametrize("offset", [0.1, 0.4])  # before the checkpoint, in the stretch
+    def test_slot_in_flight_restores_heartbeat_interval(self, offset):
+        sim, hosts = idle_cluster()
+        rounds = leader_rounds(sim, hosts[0], drop=lambda _n, _dst, kind: kind == "Accept")
+        start = next_round(sim, rounds)
+        sim.run_until(start + offset)
+        f = hosts[0].propose(Command.app("x"))  # the peers never see it
+        sim.run_for(2.0)
+        assert not f.done and hosts[0].replica.lease_active
+        # A slot alone does not hurry the next round: the checkpoint
+        # sends it, or the stretched round already scheduled does.
+        # Every round after it sees the slot pending.
+        after = rounds[rounds.index(start) :]
+        first = HB if offset < HB else STRETCH
+        assert gaps(after) == [pytest.approx(first)] + [pytest.approx(HB)] * (len(after) - 2)
+
+    @pytest.mark.parametrize("offset", [0.1, 0.4])
+    def test_commit_goes_out_within_heartbeat_interval(self, offset):
+        sim, hosts = idle_cluster()
+        rounds = leader_rounds(sim, hosts[0])
+        start = next_round(sim, rounds)
+        sim.run_until(start + offset)
+        f = hosts[0].propose(Command.app("x"))
+        committed = []
+        f.add_callback(lambda _f: committed.append(sim.now))
+        sim.run_for(2.0)
+        assert f.result() == "x"
+        # Before the checkpoint, the checkpoint sends the round that
+        # carries the commit; during a stretch, the commit sends it at
+        # once.  The round after it is stretched again.
+        after = rounds[rounds.index(start) :]
+        first = max(HB, committed[0] - start)
+        assert gaps(after) == [pytest.approx(first)] + [pytest.approx(STRETCH)] * (len(after) - 2)
+        assert committed_payloads(hosts[1]) == committed_payloads(hosts[2]) == ["x"]
+
+    @pytest.mark.parametrize(
+        "config, lost, lost_to",
+        [
+            (DEFAULT, 1, ("n1", "n2")),
+            (DEFAULT, 1, ("n2",)),
+            (EXPERIMENT_PAXOS, 2, ("n1", "n2")),
+        ],
+    )
+    def test_lost_rounds_fall_back_to_heartbeat_interval(self, config, lost, lost_to):
+        hb = config.heartbeat_interval
+        stretch = config.lease_duration - hb
+        sim, hosts = idle_cluster(config)
+        sent = record_sends(hosts)
+        ballot = hosts[0].replica.ballot
+        rounds = leader_rounds(
+            sim,
+            hosts[0],
+            drop=lambda n, dst, kind: kind == "Heartbeat" and 1 <= n <= lost and dst in lost_to,
+        )
+        dark = 0
+        for _ in range(5_000):  # every 1 ms for 5 idle sim-s
+            sim.run_for(0.001)
+            dark += not hosts[0].replica.lease_active
+        # The checkpoint after a round that some member did not ack sends
+        # the next one a heartbeat_interval later, until one reaches all.
+        assert gaps(rounds[: lost + 3]) == [
+            pytest.approx(stretch),
+            *[pytest.approx(hb)] * lost,
+            pytest.approx(stretch),
+        ]
+        # No campaign and no step-down.  The lease lapses only if every
+        # follower missed a round, and then for lost − 1 intervals plus
+        # the round trip of the round that gets through (5 ms each way).
+        assert not [m for m in sent if m[2] == "Prepare"]
+        assert hosts[0].replica.ballot == ballot and current_leader(hosts) is hosts[0]
+        if len(lost_to) < 2:
+            assert dark == 0
+        else:
+            assert 0 < dark <= round(1000 * ((lost - 1) * hb + 0.010)) + 1
+
+    def test_follower_read_leader_keeps_heartbeat_interval(self):
+        config = PaxosConfig(follower_reads=True)
+        sim, hosts = idle_cluster(config)
+        rounds = leader_rounds(sim, hosts[0])
+        sim.run_for(10.0)
+        assert len(rounds) == 40
+        assert gaps(rounds) == [pytest.approx(config.heartbeat_interval)] * 39
+
+    @pytest.mark.parametrize("offset", [0.0, 0.2, 0.4, 0.54])
+    def test_killed_idle_leader_is_replaced_within_one_stretch_and_three_timeouts(self, offset):
+        bound = STRETCH + 3 * DEFAULT.election_timeout
+        sim, hosts = idle_cluster(seed=3)
+        rounds = leader_rounds(sim, hosts[0])
+        start = next_round(sim, rounds)
+        sim.run_until(start + offset)  # this far into an idle gap
+        hosts[0].crash()
+        crashed = sim.now
+        while current_leader(hosts[1:]) is None and sim.now - crashed <= bound:
+            sim.run_for(0.01)
+        assert current_leader(hosts[1:]) is not None
+        assert sim.now - crashed <= bound
