@@ -14,8 +14,8 @@ from conftest import run_once, save_result
 from repro.harness.experiments import run_e18
 from repro.harness.sweep import derive_seed, run_sweep
 
-# The first cells of `repro sweep E18 --count 48` (master seed 1).
-SWEEP_CELLS = 16
+# The cells of `repro sweep E18 --count 48` (master seed 1).
+SWEEP_CELLS = 48
 
 
 def test_e18_repair(benchmark):

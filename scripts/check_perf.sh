@@ -20,13 +20,10 @@ PYTHONPATH=src python -m repro perf --json BENCH_SIM.json --fail-below 0.6 "$@"
 # 10,000-record log must cost under twice what it does on a 100-record one,
 # and so must a follower's read conflict check on a log retaining 400
 # applied entries against one retaining 10 (the window is the same two slots).
-# And three exact counts, the same on every host: the leader votes locally,
+# And two exact counts, the same on every host: the leader votes locally,
 # so a chosen slot costs 2*(n-1) Accept-family messages, 4 at n=3, 8 at n=5;
-# a window of client ops with the collector off leaves it nothing to
-# find, because a finished op is freed by reference count; and an idle
-# group at the default config heartbeats once per lease_duration -
-# heartbeat_interval (0.55 s: 18 rounds in 10 sim-s) with its lease live
-# at every 1 ms sample.
+# and a window of client ops with the collector off leaves it nothing to
+# find, because a finished op is freed by reference count.
 PYTHONPATH=src python - <<'EOF'
 import json
 import sys
@@ -37,7 +34,7 @@ by_name = {b["name"]: b for b in report["benchmarks"]}
 failures = []
 for name in (
     "ring_lookup_10k", "pooled_send_deliver", "wal_fsync_per_ack", "follower_read_window",
-    "accept_msgs_per_slot", "cyclic_garbage_per_op", "idle_heartbeat_rounds",
+    "accept_msgs_per_slot", "cyclic_garbage_per_op",
 ):
     if name not in by_name:
         failures.append(f"{name} missing from BENCH_SIM.json")
@@ -66,11 +63,6 @@ if "cyclic_garbage_per_op" in by_name:
     got = by_name["cyclic_garbage_per_op"].get("cyclic_garbage_per_op")
     if got != 0:
         failures.append(f"cyclic_garbage_per_op {got} != 0")
-if "idle_heartbeat_rounds" in by_name:
-    for key, want in (("rounds_per_idle_s", 1.8), ("lease_live_share", 1.0)):
-        got = by_name["idle_heartbeat_rounds"].get(key)
-        if got != want:
-            failures.append(f"idle_heartbeat_rounds {key} {got} != {want}")
 for line in failures:
     print(f"check_perf: {line}", file=sys.stderr)
 sys.exit(1 if failures else 0)

@@ -17,27 +17,10 @@ import random
 from dataclasses import dataclass, replace
 from typing import Any
 
+from repro.faults.schedule import FAULT_KINDS, FaultEntry
 from repro.sim.loop import _stable_hash
 
 PLAN_FORMAT = "repro.check/1"
-
-# Fault kinds a schedule entry may carry (documented in docs/TESTING.md).
-# The disk_* kinds need the storage model (plan.storage) to bite; without
-# it they are applied as no-ops.
-FAULT_KINDS = (
-    "crash",
-    "partition",
-    "oneway",
-    "gray",
-    "drop",
-    "dup",
-    "group_op",
-    "disk_io",
-    "disk_slow",
-    "disk_corrupt",
-    "disk_loss",
-    "node_loss",
-)
 
 # At most this many amnesia-inducing faults (disk_corrupt / disk_loss)
 # per plan: each one turns a voter into a learner for a while, and two
@@ -53,21 +36,6 @@ MAX_NODE_LOSS_FAULTS = 1
 # repair needs quiescent time to detect the loss and run a migrate or
 # merge before the replication-floor invariant is evaluated.
 NODE_LOSS_EXTRA_DRAIN = 6.0
-
-
-@dataclass(frozen=True)
-class FaultEntry:
-    """One scheduled fault: applied at ``time``, healed ``duration`` later.
-
-    ``time`` is an offset from the start of the fault window (after
-    warmup).  ``params`` is kind-specific plain data — node names, sides,
-    probabilities — never live objects, so entries serialize cleanly.
-    """
-
-    time: float
-    kind: str
-    duration: float
-    params: dict[str, Any]
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,10 @@ from repro.analysis.linearizability import check_history
 from repro.check.demo import demo_bug
 from repro.check.monitor import InvariantMonitor
 from repro.check.plan import FuzzPlan
-from repro.check.schedule import ScheduleRunner
 from repro.check.workload import ScriptedWorkload
 from repro.dht.client import ClientConfig, ScatterClient
 from repro.dht.system import ScatterSystem
+from repro.faults.schedule import ScheduleRunner
 from repro.faults.target import FaultTarget
 from repro.harness.builders import EXPERIMENT_PAXOS, experiment_scatter_config
 from repro.policies import ScatterPolicy

@@ -1,56 +1,44 @@
-"""Fault orchestration: nemeses, scenarios, and fault targets.
+"""Fault orchestration: one fault vocabulary, its runner, and scenarios.
 
 This package turns fault injection from hand-coded per-test schedules
 into a reusable layer:
 
 - :class:`FaultTarget` adapts any deployment (Paxos cluster, Scatter,
-  Chord) to the little interface nemeses need.
-- :mod:`repro.faults.nemesis` provides composable nemesis processes
-  (crash storms, rolling and one-way partitions, drop bursts, gray-link
-  slowdowns, duplicate delivery), all driven from named RNG streams and
-  recording every action as a :class:`FaultEvent`.
+  Chord) to the primitives a fault needs (crash, restart, lose a node,
+  block, slow, drop or duplicate traffic, fault a disk).
+- :mod:`repro.faults.schedule` is the vocabulary: a fault schedule is a
+  list of :class:`FaultEntry` data, and :class:`ScheduleRunner` is the
+  one runner that applies and heals it — for fuzz plans, repro files
+  and nemesis scenarios alike.
+- :mod:`repro.faults.nemesis` holds the nemesis generators (crash and
+  node-loss storms, rolling and one-way partitions, drop bursts,
+  gray-link slowdowns, duplicate delivery, disk faults), each drawing a
+  schedule from a named RNG stream; a victim is a ``pick`` resolved
+  against the live population when its entry fires.
 - :mod:`repro.faults.scenarios` is the declarative registry: named fault
   schedules shared between tests, benchmarks, and the CLI
   (``python -m repro nemesis <scenario>``).
 """
 
-from repro.faults.nemesis import (
-    AsymmetricPartition,
-    CrashRestartStorm,
-    DropBurst,
-    Duplicator,
-    FaultEvent,
-    GraySlowdown,
-    Nemesis,
-    NemesisSuite,
-    RollingPartition,
-)
 from repro.faults.scenarios import (
     NEMESIS_KINDS,
     SCENARIOS,
-    NemesisSpec,
     Scenario,
     build_scenario,
     get_scenario,
     scenario_names,
 )
+from repro.faults.schedule import FAULT_KINDS, FaultEntry, ScheduleRunner
 from repro.faults.target import FaultTarget
 
 __all__ = [
+    "FAULT_KINDS",
     "NEMESIS_KINDS",
     "SCENARIOS",
-    "AsymmetricPartition",
-    "CrashRestartStorm",
-    "DropBurst",
-    "Duplicator",
-    "FaultEvent",
+    "FaultEntry",
     "FaultTarget",
-    "GraySlowdown",
-    "Nemesis",
-    "NemesisSpec",
-    "NemesisSuite",
-    "RollingPartition",
     "Scenario",
+    "ScheduleRunner",
     "build_scenario",
     "get_scenario",
     "scenario_names",

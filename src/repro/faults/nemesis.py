@@ -1,550 +1,207 @@
-"""Composable nemesis processes: deterministic fault schedules.
+"""Nemesis generators: randomized fault schedules as plain data.
 
-A *nemesis* (the Jepsen term) is a process that injects faults into a
-running system on a randomized schedule.  Every nemesis here draws its
-randomness from a named simulator stream (``sim.rng("nemesis:<name>")``),
-so a (scenario, seed) pair reproduces the exact same fault schedule —
-and records every action it takes as a :class:`FaultEvent`, so tests can
-fingerprint schedules and experiments can report what actually happened.
+A *nemesis* (the Jepsen term) injects faults into a running system on a
+randomized schedule.  Here each nemesis kind is a function
+``(rng, window, node_ids, **params) -> list[FaultEntry]`` that draws the
+whole schedule for a fault window of ``window`` seconds up front; the
+:class:`~repro.faults.schedule.ScheduleRunner` applies and heals it, as
+it does every fuzz plan.  Callers draw ``rng`` from a named simulator
+stream (``sim.rng("nemesis:<name>")``), so a (scenario, seed) pair
+reproduces the exact same schedule.
 
-Design rules shared by all nemeses:
-
-- ``start()`` begins the schedule; ``stop()`` halts it **and undoes any
-  fault still active** (partitions healed, slowdowns cleared, crashed
-  victims restarted), so post-fault recovery measurements start from a
-  fault-free network.
-- Faults injected by one nemesis are tracked and reverted individually;
-  two nemeses only interfere if they target the same link with the same
-  primitive (last heal wins) — compose with disjoint primitives or
-  accept that overlap.
-- A nemesis never blocks: it only schedules simulator events.
+Shared shape: rounds start at ``uniform(0, period)`` and recur every
+``period * uniform(0.5, 1.5)`` inside the window.  Victims are picks,
+resolved against the live population when they fire; partition sides
+come from ``node_ids``.  Every kind but the storms keeps one fault at a
+time, and the crash storm never has more than ``max_down`` victims down
+at once: both hold by construction, since each entry's duration is
+known when it is drawn.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable
+import random
+from itertools import islice
+from typing import Callable, Iterator
 
-from repro.faults.target import FaultTarget
-from repro.sim.loop import Simulator
-
-
-@dataclass(frozen=True)
-class FaultEvent:
-    """One action a nemesis took (for logs, fingerprints, reports)."""
-
-    time: float
-    nemesis: str
-    action: str
-    detail: tuple = ()
+from repro.faults.schedule import FaultEntry
 
 
-class Nemesis:
-    """Base class: schedule management, RNG stream, event recording."""
-
-    def __init__(self, sim: Simulator, target: FaultTarget, name: str) -> None:
-        self.sim = sim
-        self.target = target
-        self.name = name
-        self.rng = sim.rng(f"nemesis:{name}")
-        self.events: list[FaultEvent] = []
-        self.running = False
-
-    # -- lifecycle ------------------------------------------------------
-    def start(self) -> None:
-        if self.running:
-            return
-        self.running = True
-        self._record("start")
-        self._kickoff()
-
-    def stop(self) -> None:
-        if not self.running:
-            return
-        self.running = False
-        self._heal()
-        self._record("stop")
-
-    def _kickoff(self) -> None:
-        raise NotImplementedError
-
-    def _heal(self) -> None:
-        """Undo any fault this nemesis still has active."""
-
-    # -- helpers --------------------------------------------------------
-    def _record(self, action: str, *detail: Any) -> None:
-        self.events.append(FaultEvent(self.sim.now, self.name, action, tuple(detail)))
-
-    def _while_running(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
-        """Schedule ``fn`` guarded by the running flag."""
-
-        def guarded(*inner: Any) -> None:
-            if self.running:
-                fn(*inner)
-
-        self.sim.schedule(delay, guarded, *args)
-
-    def _jittered(self, period: float) -> float:
-        return period * self.rng.uniform(0.5, 1.5)
-
-    def schedule_fingerprint(self) -> tuple:
-        """Hashable summary of the schedule for determinism checks."""
-        return tuple(
-            (round(e.time, 9), e.nemesis, e.action, e.detail) for e in self.events
-        )
+def _rounds(rng: random.Random, window: float, period: float) -> Iterator[float]:
+    """Round start times: first at ``uniform(0, period)``, then jittered."""
+    t = rng.uniform(0, period)
+    while t < window:
+        yield t
+        t += period * rng.uniform(0.5, 1.5)
 
 
-class CrashRestartStorm(Nemesis):
-    """Repeatedly crash random nodes and restart them after a downtime.
-
-    ``max_down`` caps how many of *this nemesis's* victims are down at
-    once, so a storm against a replicated group can be kept below the
-    majority threshold (or allowed to exceed it, for recovery tests).
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        target: FaultTarget,
-        name: str = "crash-storm",
-        interval: float = 2.0,
-        downtime: tuple[float, float] = (1.0, 4.0),
-        max_down: int = 1,
-    ) -> None:
-        super().__init__(sim, target, name)
-        self.interval = interval
-        self.downtime = downtime
-        self.max_down = max_down
-        self._down: set[str] = set()
-
-    def _kickoff(self) -> None:
-        self._while_running(self.rng.uniform(0, self.interval), self._tick)
-
-    def _tick(self) -> None:
-        if len(self._down) < self.max_down:
-            candidates = [n for n in self.target.alive_ids() if n not in self._down]
-            if candidates:
-                victim = self.rng.choice(candidates)
-                if self.target.crash(victim):
-                    self._down.add(victim)
-                    self._record("crash", victim)
-                    self.sim.schedule(
-                        self.rng.uniform(*self.downtime), self._restore, victim
-                    )
-        self._while_running(self._jittered(self.interval), self._tick)
-
-    def _restore(self, victim: str) -> None:
-        if victim in self._down:
-            self._down.discard(victim)
-            if self.target.restart(victim):
-                self._record("restart", victim)
-
-    def _heal(self) -> None:
-        for victim in sorted(self._down):
-            if self.target.restart(victim):
-                self._record("restart", victim)
-        self._down.clear()
+def _one_at_a_time(
+    rng: random.Random, window: float, period: float, draw: Callable[[float], FaultEntry]
+) -> list[FaultEntry]:
+    """One ``draw(t)`` per round, skipping rounds while the last is active."""
+    entries: list[FaultEntry] = []
+    busy_until = 0.0
+    for t in _rounds(rng, window, period):
+        if t >= busy_until:
+            entries.append(draw(t))
+            busy_until = t + entries[-1].duration
+    return entries
 
 
-class NodeLossStorm(Nemesis):
-    """Permanent node losses on a schedule — victims never come back.
-
-    Unlike :class:`CrashRestartStorm`, ``_heal`` is deliberately a no-op:
-    a lost node's disk is gone and the restart sweep skips it.  Healing
-    is the *system's* job — Scatter's resilience-driven repair pulls
-    spares in or merges fragile groups; a hardened Chord re-replicates —
-    and that response is exactly what this nemesis exists to exercise.
-    ``max_losses`` bounds the total carnage and ``min_alive`` keeps the
-    deployment large enough that a remedy can exist at all.  ``burst``
-    kills several distinct victims in the same instant — a correlated
-    failure (rack power, AZ outage) that gives re-replication no time
-    to react between the individual deaths.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        target: FaultTarget,
-        name: str = "node-loss-storm",
-        interval: float = 4.0,
-        max_losses: int = 2,
-        min_alive: int = 5,
-        burst: int = 1,
-    ) -> None:
-        super().__init__(sim, target, name)
-        self.interval = interval
-        self.max_losses = max_losses
-        self.min_alive = min_alive
-        self.burst = burst
-        self._losses = 0
-
-    def _kickoff(self) -> None:
-        self._while_running(self.rng.uniform(0, self.interval), self._tick)
-
-    def _tick(self) -> None:
-        for _ in range(self.burst):
-            alive = self.target.alive_ids()
-            if self._losses >= self.max_losses or len(alive) <= self.min_alive:
-                break
-            victim = self.rng.choice(alive)
-            if self.target.node_loss(victim):
-                self._losses += 1
-                self._record("node_loss", victim)
-        self._while_running(self._jittered(self.interval), self._tick)
-
-    def _heal(self) -> None:
-        """Nothing to undo: permanent means permanent."""
+def _pick(rng: random.Random) -> int:
+    return rng.getrandbits(31)
 
 
-class RollingPartition(Nemesis):
-    """Symmetric partitions that move around the system.
-
-    Each round cuts a random minority side off from the rest for
-    ``duration`` seconds, heals, then picks a new side — the classic
-    schedule that shakes out stale-leader and split-brain bugs.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        target: FaultTarget,
-        name: str = "rolling-partition",
-        period: float = 4.0,
-        duration: float = 1.5,
-    ) -> None:
-        super().__init__(sim, target, name)
-        self.period = period
-        self.duration = duration
-        self._active_pairs: set[tuple[str, str]] = set()
-
-    def _kickoff(self) -> None:
-        self._while_running(self.rng.uniform(0, self.period), self._tick)
-
-    def _tick(self) -> None:
-        ids = self.target.node_ids()
-        if len(ids) >= 2 and not self._active_pairs:
-            side_size = self.rng.randrange(1, max(2, len(ids) // 2 + 1))
-            side = set(self.rng.sample(ids, side_size))
-            rest = set(ids) - side
-            for a in side:
-                for b in rest:
-                    self._active_pairs.add((a, b))
-                    self._active_pairs.add((b, a))
-                    self.target.net.block_one_way(a, b)
-                    self.target.net.block_one_way(b, a)
-            self._record("partition", tuple(sorted(side)))
-            self.sim.schedule(self.duration, self._heal_round)
-        self._while_running(self._jittered(self.period), self._tick)
-
-    def _heal_round(self) -> None:
-        if not self._active_pairs:
-            return
-        for src, dst in sorted(self._active_pairs):
-            self.target.net.unblock_one_way(src, dst)
-        self._active_pairs.clear()
-        self._record("heal")
-
-    def _heal(self) -> None:
-        self._heal_round()
+def crash_storm(
+    rng: random.Random,
+    window: float,
+    node_ids: list[str],
+    interval: float = 2.0,
+    downtime: tuple[float, float] = (1.0, 4.0),
+    max_down: int = 1,
+) -> list[FaultEntry]:
+    """Crash a live node, restart it after a random downtime; at most
+    ``max_down`` of the storm's victims are down at once."""
+    entries: list[FaultEntry] = []
+    up_at: list[float] = []
+    for t in _rounds(rng, window, interval):
+        up_at = [end for end in up_at if end > t]
+        if len(up_at) < max_down:
+            entries.append(FaultEntry(t, "crash", rng.uniform(*downtime), {"pick": _pick(rng)}))
+            up_at.append(t + entries[-1].duration)
+    return entries
 
 
-class AsymmetricPartition(Nemesis):
+def node_loss_storm(
+    rng: random.Random,
+    window: float,
+    node_ids: list[str],
+    interval: float = 4.0,
+    max_losses: int = 2,
+    min_alive: int = 5,
+) -> list[FaultEntry]:
+    """Permanent losses: victims never come back.  Healing is the
+    *system's* job (Scatter's repair, a hardened Chord's
+    re-replication), which is what this nemesis exists to exercise.
+    At most ``max_losses`` entries; each is skipped when it fires with
+    ``min_alive`` or fewer live nodes, so a remedy can still exist."""
+    return [
+        FaultEntry(t, "node_loss", 0.0, {"pick": _pick(rng), "min_alive": min_alive})
+        for t in islice(_rounds(rng, window, interval), max_losses)
+    ]
+
+
+def rolling_partition(
+    rng: random.Random,
+    window: float,
+    node_ids: list[str],
+    period: float = 4.0,
+    duration: float = 1.5,
+) -> list[FaultEntry]:
+    """Symmetric partitions that move: a random minority side is cut
+    off for ``duration``, healed, and a new side chosen next round."""
+    if len(node_ids) < 2:
+        return []
+
+    def draw(t: float) -> FaultEntry:
+        size = rng.randrange(1, max(2, len(node_ids) // 2 + 1))
+        return FaultEntry(t, "partition", duration, {"side": sorted(rng.sample(node_ids, size))})
+
+    return _one_at_a_time(rng, window, period, draw)
+
+
+def asymmetric_partition(
+    rng: random.Random,
+    window: float,
+    node_ids: list[str],
+    period: float = 4.0,
+    duration: float = 1.5,
+    mode: str = "inbound",  # "inbound", "outbound", or "random"
+) -> list[FaultEntry]:
     """One-way partitions: a victim that can send but not receive (or
     the reverse) — the edge case symmetric fault tests never cover, and
     the one *How to Make Chord Correct* shows breaking overlay
     invariants."""
+    if mode not in ("inbound", "outbound", "random"):
+        raise ValueError(f"bad mode {mode}")
 
-    def __init__(
-        self,
-        sim: Simulator,
-        target: FaultTarget,
-        name: str = "asymmetric-partition",
-        period: float = 4.0,
-        duration: float = 1.5,
-        mode: str = "inbound",  # "inbound", "outbound", or "random"
-    ) -> None:
-        if mode not in ("inbound", "outbound", "random"):
-            raise ValueError(f"bad mode {mode}")
-        super().__init__(sim, target, name)
-        self.period = period
-        self.duration = duration
-        self.mode = mode
-        self._active_pairs: set[tuple[str, str]] = set()
+    def draw(t: float) -> FaultEntry:
+        pick = _pick(rng)
+        way = mode
+        if way == "random":
+            way = "inbound" if rng.random() < 0.5 else "outbound"
+        return FaultEntry(t, "oneway", duration, {"pick": pick, "mode": way})
 
-    def _kickoff(self) -> None:
-        self._while_running(self.rng.uniform(0, self.period), self._tick)
-
-    def _tick(self) -> None:
-        alive = self.target.alive_ids()
-        if alive and not self._active_pairs:
-            victim = self.rng.choice(alive)
-            mode = self.mode
-            if mode == "random":
-                mode = "inbound" if self.rng.random() < 0.5 else "outbound"
-            peers = [n for n in self.target.node_ids() if n != victim]
-            for peer in peers:
-                pair = (peer, victim) if mode == "inbound" else (victim, peer)
-                self._active_pairs.add(pair)
-                self.target.net.block_one_way(*pair)
-            self._record(f"isolate_{mode}", victim)
-            self.sim.schedule(self.duration, self._heal_round)
-        self._while_running(self._jittered(self.period), self._tick)
-
-    def _heal_round(self) -> None:
-        if not self._active_pairs:
-            return
-        for src, dst in sorted(self._active_pairs):
-            self.target.net.unblock_one_way(src, dst)
-        self._active_pairs.clear()
-        self._record("heal")
-
-    def _heal(self) -> None:
-        self._heal_round()
+    return _one_at_a_time(rng, window, period, draw)
 
 
-class DropBurst(Nemesis):
-    """Bursts of heavy message loss: raise ``net.drop_prob`` for a
-    window, then restore whatever it was before."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        target: FaultTarget,
-        name: str = "drop-burst",
-        period: float = 5.0,
-        duration: float = 1.0,
-        drop_prob: float = 0.4,
-    ) -> None:
-        super().__init__(sim, target, name)
-        self.period = period
-        self.duration = duration
-        self.drop_prob = drop_prob
-        self._saved: float | None = None
-
-    def _kickoff(self) -> None:
-        self._while_running(self.rng.uniform(0, self.period), self._tick)
-
-    def _tick(self) -> None:
-        if self._saved is None:
-            self._saved = self.target.net.drop_prob
-            self.target.net.drop_prob = max(self._saved, self.drop_prob)
-            self._record("drop_burst", self.drop_prob)
-            self.sim.schedule(self.duration, self._heal_round)
-        self._while_running(self._jittered(self.period), self._tick)
-
-    def _heal_round(self) -> None:
-        if self._saved is None:
-            return
-        self.target.net.drop_prob = self._saved
-        self._saved = None
-        self._record("heal")
-
-    def _heal(self) -> None:
-        self._heal_round()
+def gray_slowdown(
+    rng: random.Random,
+    window: float,
+    node_ids: list[str],
+    period: float = 5.0,
+    duration: float = 2.5,
+    slowdown: tuple[float, float] = (10.0, 50.0),
+) -> list[FaultEntry]:
+    """Gray failure: a victim's links get ``slowdown`` times slower, not
+    dead — naive is-it-up probes stay happy while leases expire, RPCs
+    time out and retry storms build."""
+    return _one_at_a_time(rng, window, period, lambda t: FaultEntry(
+        t, "gray", duration, {"pick": _pick(rng), "factor": rng.uniform(*slowdown)}
+    ))
 
 
-class GraySlowdown(Nemesis):
-    """Gray failure: a victim's links get slow, not dead.
-
-    Every message still arrives, just ``slowdown`` times later — which
-    keeps naive is-it-up probes happy while leases expire, RPCs time
-    out, and retry storms build.  The hardest failure mode for
-    timeout-based detectors, and the one E16 measures.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        target: FaultTarget,
-        name: str = "gray-slowdown",
-        period: float = 5.0,
-        duration: float = 2.5,
-        slowdown: tuple[float, float] = (10.0, 50.0),
-    ) -> None:
-        super().__init__(sim, target, name)
-        self.period = period
-        self.duration = duration
-        self.slowdown = slowdown
-        self._active: dict[str, list[str]] = {}  # victim -> peers degraded
-
-    def _kickoff(self) -> None:
-        self._while_running(self.rng.uniform(0, self.period), self._tick)
-
-    def _tick(self) -> None:
-        alive = [n for n in self.target.alive_ids() if n not in self._active]
-        if alive and not self._active:
-            victim = self.rng.choice(alive)
-            factor = self.rng.uniform(*self.slowdown)
-            peers = [n for n in self.target.node_ids() if n != victim]
-            self.target.net.set_node_slowdown(victim, factor, peers)
-            self._active[victim] = peers
-            self._record("slow", victim, round(factor, 3))
-            self.sim.schedule(self.duration, self._heal_victim, victim)
-        self._while_running(self._jittered(self.period), self._tick)
-
-    def _heal_victim(self, victim: str) -> None:
-        peers = self._active.pop(victim, None)
-        if peers is None:
-            return
-        self.target.net.set_node_slowdown(victim, 1.0, peers)
-        self._record("heal", victim)
-
-    def _heal(self) -> None:
-        for victim in sorted(self._active):
-            self._heal_victim(victim)
+def drop_burst(
+    rng: random.Random,
+    window: float,
+    node_ids: list[str],
+    period: float = 5.0,
+    duration: float = 1.0,
+    drop_prob: float = 0.4,
+) -> list[FaultEntry]:
+    """Windows of heavy message loss on every link."""
+    return _one_at_a_time(
+        rng, window, period, lambda t: FaultEntry(t, "drop", duration, {"prob": drop_prob})
+    )
 
 
-class Duplicator(Nemesis):
-    """At-least-once delivery: windows where every message may be
-    delivered twice (independently timed, so duplicates can reorder past
-    the original).  Stresses command dedup exactly the way Spinnaker's
-    correctness argument assumes it is stressed."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        target: FaultTarget,
-        name: str = "duplicator",
-        period: float = 4.0,
-        duration: float = 2.0,
-        dup_prob: float = 0.3,
-    ) -> None:
-        super().__init__(sim, target, name)
-        self.period = period
-        self.duration = duration
-        self.dup_prob = dup_prob
-        self._saved: float | None = None
-
-    def _kickoff(self) -> None:
-        self._while_running(self.rng.uniform(0, self.period), self._tick)
-
-    def _tick(self) -> None:
-        if self._saved is None:
-            self._saved = self.target.net.dup_prob
-            self.target.net.dup_prob = max(self._saved, self.dup_prob)
-            self._record("duplicate", self.dup_prob)
-            self.sim.schedule(self.duration, self._heal_round)
-        self._while_running(self._jittered(self.period), self._tick)
-
-    def _heal_round(self) -> None:
-        if self._saved is None:
-            return
-        self.target.net.dup_prob = self._saved
-        self._saved = None
-        self._record("heal")
-
-    def _heal(self) -> None:
-        self._heal_round()
+def duplicator(
+    rng: random.Random,
+    window: float,
+    node_ids: list[str],
+    period: float = 4.0,
+    duration: float = 2.0,
+    dup_prob: float = 0.3,
+) -> list[FaultEntry]:
+    """At-least-once delivery windows: messages may arrive twice,
+    independently timed, which stresses command dedup."""
+    return _one_at_a_time(
+        rng, window, period, lambda t: FaultEntry(t, "dup", duration, {"prob": dup_prob})
+    )
 
 
-class DiskFaults(Nemesis):
-    """Storage-layer faults against nodes with a simulated disk.
+def disk_faults(
+    rng: random.Random,
+    window: float,
+    node_ids: list[str],
+    period: float = 4.0,
+    duration: float = 1.5,
+    slow_factor: tuple[float, float] = (10.0, 100.0),
+    downtime: tuple[float, float] = (0.5, 2.0),
+) -> list[FaultEntry]:
+    """Storage faults: an IO-error window (the replica goes silent
+    instead of acking), a slow-fsync window (the storage flavor of gray
+    failure), or a power cycle (crash and restart through lost-suffix
+    recovery).  No-ops on deployments without disks."""
 
-    Each round picks a victim and one of three modes: an *io_error*
-    window (appends/fsyncs/snapshot writes fail, so the replica goes
-    silent instead of acking), a *slow* window (fsync latency multiplied,
-    the storage flavor of a gray failure), or a *power_cycle* (crash and
-    restart, exercising the lost-suffix recovery path).  No-op against
-    deployments without the storage model — there are no disks to hurt.
-    """
+    def draw(t: float) -> FaultEntry:
+        pick = _pick(rng)
+        mode = rng.choice(("io_error", "slow", "power_cycle"))
+        if mode == "io_error":
+            return FaultEntry(t, "disk_io", duration, {"pick": pick})
+        if mode == "slow":
+            params = {"pick": pick, "factor": rng.uniform(*slow_factor)}
+            return FaultEntry(t, "disk_slow", duration, params)
+        return FaultEntry(t, "crash", rng.uniform(*downtime), {"pick": pick})
 
-    def __init__(
-        self,
-        sim: Simulator,
-        target: FaultTarget,
-        name: str = "disk-faults",
-        period: float = 4.0,
-        duration: float = 1.5,
-        slow_factor: tuple[float, float] = (10.0, 100.0),
-        downtime: tuple[float, float] = (0.5, 2.0),
-    ) -> None:
-        super().__init__(sim, target, name)
-        self.period = period
-        self.duration = duration
-        self.slow_factor = slow_factor
-        self.downtime = downtime
-        self._io_victims: set[str] = set()
-        self._slow_victims: set[str] = set()
-        self._down: set[str] = set()
-
-    def _kickoff(self) -> None:
-        self._while_running(self.rng.uniform(0, self.period), self._tick)
-
-    def _tick(self) -> None:
-        busy = self._io_victims | self._slow_victims | self._down
-        candidates = [
-            n for n in self.target.disk_ids() if n not in busy and n in self.target.alive_ids()
-        ]
-        if candidates:
-            victim = self.rng.choice(candidates)
-            mode = self.rng.choice(("io_error", "slow", "power_cycle"))
-            if mode == "io_error":
-                self.target.set_disk_io_error(victim, True)
-                self._io_victims.add(victim)
-                self._record("io_error", victim)
-                self.sim.schedule(self.duration, self._heal_io, victim)
-            elif mode == "slow":
-                factor = self.rng.uniform(*self.slow_factor)
-                self.target.set_fsync_factor(victim, factor)
-                self._slow_victims.add(victim)
-                self._record("slow_fsync", victim, round(factor, 3))
-                self.sim.schedule(self.duration, self._heal_slow, victim)
-            elif self.target.crash(victim):
-                self._down.add(victim)
-                self._record("power_cycle", victim)
-                self.sim.schedule(self.rng.uniform(*self.downtime), self._restore, victim)
-        self._while_running(self._jittered(self.period), self._tick)
-
-    def _heal_io(self, victim: str) -> None:
-        if victim in self._io_victims:
-            self._io_victims.discard(victim)
-            self.target.set_disk_io_error(victim, False)
-            self._record("heal_io", victim)
-
-    def _heal_slow(self, victim: str) -> None:
-        if victim in self._slow_victims:
-            self._slow_victims.discard(victim)
-            self.target.set_fsync_factor(victim, 1.0)
-            self._record("heal_slow", victim)
-
-    def _restore(self, victim: str) -> None:
-        if victim in self._down:
-            self._down.discard(victim)
-            if self.target.restart(victim):
-                self._record("restart", victim)
-
-    def _heal(self) -> None:
-        for victim in sorted(self._io_victims):
-            self._heal_io(victim)
-        for victim in sorted(self._slow_victims):
-            self._heal_slow(victim)
-        for victim in sorted(self._down):
-            if self.target.restart(victim):
-                self._record("restart", victim)
-        self._down.clear()
-
-
-class NemesisSuite:
-    """Several nemeses run as one: start/stop together, merged events."""
-
-    def __init__(self, nemeses: list[Nemesis]) -> None:
-        self.nemeses = list(nemeses)
-
-    def start(self) -> None:
-        for nemesis in self.nemeses:
-            nemesis.start()
-
-    def stop(self) -> None:
-        for nemesis in self.nemeses:
-            nemesis.stop()
-
-    @property
-    def events(self) -> list[FaultEvent]:
-        merged = [e for n in self.nemeses for e in n.events]
-        merged.sort(key=lambda e: (e.time, e.nemesis, e.action, e.detail))
-        return merged
-
-    def schedule_fingerprint(self) -> tuple:
-        return tuple(
-            (round(e.time, 9), e.nemesis, e.action, e.detail) for e in self.events
-        )
+    return _one_at_a_time(rng, window, period, draw)

@@ -10,52 +10,32 @@ seed) pair always reproduces the identical fault schedule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Callable
 
-from repro.faults.nemesis import (
-    AsymmetricPartition,
-    CrashRestartStorm,
-    DiskFaults,
-    DropBurst,
-    Duplicator,
-    GraySlowdown,
-    Nemesis,
-    NemesisSuite,
-    NodeLossStorm,
-    RollingPartition,
-)
+from repro.faults import nemesis
+from repro.faults.schedule import FaultEntry
 from repro.faults.target import FaultTarget
 from repro.sim.loop import Simulator
 
-NEMESIS_KINDS: dict[str, type[Nemesis]] = {
-    "crash_storm": CrashRestartStorm,
-    "rolling_partition": RollingPartition,
-    "asymmetric_partition": AsymmetricPartition,
-    "drop_burst": DropBurst,
-    "gray_slowdown": GraySlowdown,
-    "duplicator": Duplicator,
-    "disk_faults": DiskFaults,
-    "node_loss_storm": NodeLossStorm,
+NEMESIS_KINDS: dict[str, Callable[..., list[FaultEntry]]] = {
+    "crash_storm": nemesis.crash_storm,
+    "rolling_partition": nemesis.rolling_partition,
+    "asymmetric_partition": nemesis.asymmetric_partition,
+    "drop_burst": nemesis.drop_burst,
+    "gray_slowdown": nemesis.gray_slowdown,
+    "duplicator": nemesis.duplicator,
+    "disk_faults": nemesis.disk_faults,
+    "node_loss_storm": nemesis.node_loss_storm,
 }
-
-
-@dataclass(frozen=True)
-class NemesisSpec:
-    """One nemesis in a scenario: a kind from NEMESIS_KINDS plus knobs."""
-
-    kind: str
-    params: dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.kind not in NEMESIS_KINDS:
-            raise ValueError(f"unknown nemesis kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
 class Scenario:
     """A named, composable fault schedule.
 
+    ``nemeses`` lists ``(kind, params)`` pairs: a kind from
+    ``NEMESIS_KINDS`` and the keyword arguments its generator takes.
     ``needs_storage`` marks scenarios whose faults act on simulated
     disks: deployment builders (the CLI ``nemesis`` command,
     ``_nemesis_run``) enable the durable-storage model for them, since
@@ -64,7 +44,7 @@ class Scenario:
 
     name: str
     description: str
-    nemeses: tuple[NemesisSpec, ...]
+    nemeses: tuple[tuple[str, dict[str, Any]], ...]
     needs_storage: bool = False
     # Scenarios built around permanent node loss are only a fair fight
     # when the system's self-healing is on: deployment builders enable
@@ -72,20 +52,27 @@ class Scenario:
     # them.
     needs_repair: bool = False
 
+    def __post_init__(self) -> None:
+        for kind, _ in self.nemeses:
+            if kind not in NEMESIS_KINDS:
+                raise ValueError(f"unknown nemesis kind {kind!r}")
+
 
 def build_scenario(
-    scenario: Scenario | str, sim: Simulator, target: FaultTarget
-) -> NemesisSuite:
-    """Instantiate a scenario's nemeses against ``target``."""
+    scenario: Scenario | str, sim: Simulator, target: FaultTarget, window: float
+) -> list[FaultEntry]:
+    """A scenario's fault schedule for a ``window``-second fault window,
+    every nemesis merged and sorted by time (hand it to a
+    :class:`~repro.faults.schedule.ScheduleRunner` started at the
+    window's first instant)."""
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
-    instances: list[Nemesis] = []
-    for i, spec in enumerate(scenario.nemeses):
-        cls = NEMESIS_KINDS[spec.kind]
-        instances.append(
-            cls(sim, target, name=f"{scenario.name}/{i}:{spec.kind}", **spec.params)
-        )
-    return NemesisSuite(instances)
+    node_ids = target.node_ids()
+    entries: list[FaultEntry] = []
+    for i, (kind, params) in enumerate(scenario.nemeses):
+        rng = sim.rng(f"nemesis:{scenario.name}/{i}:{kind}")
+        entries += NEMESIS_KINDS[kind](rng, window, node_ids, **params)
+    return sorted(entries, key=lambda e: (e.time, e.kind))
 
 
 def get_scenario(name: str) -> Scenario:
@@ -117,8 +104,7 @@ _register(Scenario(
     description="Fail-stop storm: one node at a time crashes and restarts "
                 "after a few seconds — the failure mode every system tests.",
     nemeses=(
-        NemesisSpec("crash_storm",
-                    {"interval": 3.0, "downtime": (1.5, 4.0), "max_down": 1}),
+        ("crash_storm", {"interval": 3.0, "downtime": (1.5, 4.0), "max_down": 1}),
     ),
 ))
 
@@ -127,8 +113,7 @@ _register(Scenario(
     description="Aggressive crash/restart storm: up to two nodes down at "
                 "once with short intervals between kills.",
     nemeses=(
-        NemesisSpec("crash_storm",
-                    {"interval": 1.5, "downtime": (0.5, 3.0), "max_down": 2}),
+        ("crash_storm", {"interval": 1.5, "downtime": (0.5, 3.0), "max_down": 2}),
     ),
 ))
 
@@ -137,7 +122,7 @@ _register(Scenario(
     description="Symmetric partitions that move: a random minority is cut "
                 "off, healed, and a new side is chosen.",
     nemeses=(
-        NemesisSpec("rolling_partition", {"period": 4.0, "duration": 1.5}),
+        ("rolling_partition", {"period": 4.0, "duration": 1.5}),
     ),
 ))
 
@@ -146,8 +131,7 @@ _register(Scenario(
     description="One-way partitions: a victim can send but not receive "
                 "(or vice versa) — the schedule symmetric tests miss.",
     nemeses=(
-        NemesisSpec("asymmetric_partition",
-                    {"period": 4.0, "duration": 1.5, "mode": "random"}),
+        ("asymmetric_partition", {"period": 4.0, "duration": 1.5, "mode": "random"}),
     ),
 ))
 
@@ -156,8 +140,7 @@ _register(Scenario(
     description="Gray failure: a victim's links degrade 10-50x instead of "
                 "dying, defeating timeout-based failure detectors.",
     nemeses=(
-        NemesisSpec("gray_slowdown",
-                    {"period": 5.0, "duration": 2.5, "slowdown": (10.0, 50.0)}),
+        ("gray_slowdown", {"period": 5.0, "duration": 2.5, "slowdown": (10.0, 50.0)}),
     ),
 ))
 
@@ -165,8 +148,7 @@ _register(Scenario(
     name="drop_burst",
     description="Bursts of 40% message loss on every link.",
     nemeses=(
-        NemesisSpec("drop_burst",
-                    {"period": 5.0, "duration": 1.5, "drop_prob": 0.4}),
+        ("drop_burst", {"period": 5.0, "duration": 1.5, "drop_prob": 0.4}),
     ),
 ))
 
@@ -175,8 +157,7 @@ _register(Scenario(
     description="At-least-once delivery windows: 30% of messages delivered "
                 "twice with independent timing — stresses command dedup.",
     nemeses=(
-        NemesisSpec("duplicator",
-                    {"period": 4.0, "duration": 2.5, "dup_prob": 0.3}),
+        ("duplicator", {"period": 4.0, "duration": 2.5, "dup_prob": 0.3}),
     ),
 ))
 
@@ -186,9 +167,8 @@ _register(Scenario(
                 "power cycles that lose the un-fsynced WAL suffix.  Only "
                 "meaningful against deployments with the storage model on.",
     nemeses=(
-        NemesisSpec("disk_faults",
-                    {"period": 3.0, "duration": 1.5,
-                     "slow_factor": (10.0, 100.0), "downtime": (0.5, 2.0)}),
+        ("disk_faults", {"period": 3.0, "duration": 1.5,
+                         "slow_factor": (10.0, 100.0), "downtime": (0.5, 2.0)}),
     ),
     needs_storage=True,
 ))
@@ -199,10 +179,8 @@ _register(Scenario(
                 "never restarting.  The system's own repair must restore "
                 "replication before the next loss lands.",
     nemeses=(
-        NemesisSpec("node_loss_storm",
-                    {"interval": 6.0, "max_losses": 2, "min_alive": 6}),
-        NemesisSpec("crash_storm",
-                    {"interval": 5.0, "downtime": (1.0, 3.0), "max_down": 1}),
+        ("node_loss_storm", {"interval": 6.0, "max_losses": 2, "min_alive": 6}),
+        ("crash_storm", {"interval": 5.0, "downtime": (1.0, 3.0), "max_down": 1}),
     ),
     needs_repair=True,
 ))
@@ -212,15 +190,10 @@ _register(Scenario(
     description="Everything at once: crashes, one-way partitions, gray "
                 "links, loss bursts, and duplication.",
     nemeses=(
-        NemesisSpec("crash_storm",
-                    {"interval": 4.0, "downtime": (1.0, 3.0), "max_down": 1}),
-        NemesisSpec("asymmetric_partition",
-                    {"period": 6.0, "duration": 1.2, "mode": "random"}),
-        NemesisSpec("gray_slowdown",
-                    {"period": 7.0, "duration": 2.0, "slowdown": (8.0, 30.0)}),
-        NemesisSpec("drop_burst",
-                    {"period": 8.0, "duration": 1.0, "drop_prob": 0.3}),
-        NemesisSpec("duplicator",
-                    {"period": 9.0, "duration": 2.0, "dup_prob": 0.2}),
+        ("crash_storm", {"interval": 4.0, "downtime": (1.0, 3.0), "max_down": 1}),
+        ("asymmetric_partition", {"period": 6.0, "duration": 1.2, "mode": "random"}),
+        ("gray_slowdown", {"period": 7.0, "duration": 2.0, "slowdown": (8.0, 30.0)}),
+        ("drop_burst", {"period": 8.0, "duration": 1.0, "drop_prob": 0.3}),
+        ("duplicator", {"period": 9.0, "duration": 2.0, "dup_prob": 0.2}),
     ),
 ))

@@ -18,7 +18,8 @@ from repro.analysis.stats import mean, percentile
 from repro.baseline.chord import ChordConfig
 from repro.consensus.replica import PaxosConfig
 from repro.dht.client import ClientConfig
-from repro.faults import FaultTarget, build_scenario, get_scenario
+from repro.faults import FaultTarget, ScheduleRunner, build_scenario, get_scenario
+from repro.faults.nemesis import crash_storm, node_loss_storm
 from repro.harness.builders import (
     DeploymentParams,
     build_chord_deployment,
@@ -93,9 +94,9 @@ def _nemesis_run(
 
     Shared by E16, the CLI ``nemesis`` subcommand, and tests, so fault
     schedules are defined once in :mod:`repro.faults.scenarios`.
-    Recovery time is measured from the final heal (nemesis stop) to the
-    first client operation completing afterwards, capped at
-    ``recovery_cap`` seconds.
+    Recovery time is measured from the final heal (the runner's stop at
+    the end of the fault window) to the first client operation
+    completing afterwards, capped at ``recovery_cap`` seconds.
     """
     if backend == "scatter":
         # Disk-fault scenarios need disks to act on; every other scenario
@@ -123,7 +124,10 @@ def _nemesis_run(
     def completed_ops() -> int:
         return sum(1 for r in workload.all_records() if r.completed)
 
-    suite = build_scenario(scenario, sim, FaultTarget.for_system(system))
+    target = FaultTarget.for_system(system)
+    faults = ScheduleRunner(
+        sim, system, target, build_scenario(scenario, sim, target, duration)
+    )
     watchdog = LivenessWatchdog(sim, completed_ops, window=watchdog_window)
     # Permanent-loss scenarios also get a per-group quorum watch so the
     # run can distinguish dead groups (permanently below quorum, with a
@@ -137,9 +141,9 @@ def _nemesis_run(
     watchdog.start()
     if quorum_watch is not None:
         quorum_watch.start()
-    suite.start()
+    faults.start()
     sim.run_for(duration)
-    suite.stop()  # halts the schedule and heals all active faults
+    faults.stop()  # heals every fault still active
     fault_end = sim.now
     before_recovery = completed_ops()
     recovery = 0.0
@@ -151,9 +155,7 @@ def _nemesis_run(
     sim.run_for(2.0)
     metrics = workload_metrics(workload.all_records(), window=(start, fault_end))
     metrics["scenario"] = scenario
-    metrics["fault_events"] = sum(
-        1 for e in suite.events if e.action not in ("start", "stop")
-    )
+    metrics["fault_events"] = len(faults.applied)
     metrics["stalls"] = watchdog.stall_count
     metrics["max_stall_s"] = watchdog.max_stall
     metrics["recovery_s"] = recovery
@@ -1055,9 +1057,6 @@ def run_e17(quick: bool = True, seed: int = 17) -> ExperimentResult:
             "threshold 0 = compaction off (replay grows with uptime)"
         ),
     )
-    from repro.faults.nemesis import CrashRestartStorm
-    from repro.storage.disk import StorageConfig
-
     duration = 30.0 if quick else 90.0
     thresholds = (0, 64, 256, 1024) if quick else (0, 32, 64, 128, 256, 512, 1024)
     recovery_cap = 20.0
@@ -1085,13 +1084,11 @@ def run_e17(quick: bool = True, seed: int = 17) -> ExperimentResult:
         def completed_ops() -> int:
             return sum(1 for r in workload.all_records() if r.completed)
 
-        storm = CrashRestartStorm(
-            sim,
-            FaultTarget.for_system(system),
-            interval=2.0,
-            downtime=(0.5, 2.5),
-            max_down=1,
-        )
+        target = FaultTarget.for_system(system)
+        storm = ScheduleRunner(sim, system, target, crash_storm(
+            sim.rng("nemesis:crash-storm"), duration, target.node_ids(),
+            interval=2.0, downtime=(0.5, 2.5), max_down=1,
+        ))
         watchdog = LivenessWatchdog(sim, completed_ops, window=3.0)
         start = sim.now
         watchdog.start()
@@ -1182,8 +1179,6 @@ def run_e18(quick: bool = True, seed: int = 20) -> ExperimentResult:
             "has no groups)"
         ),
     )
-    from repro.faults.nemesis import NodeLossStorm
-
     duration = 40.0
     intervals = (3.0,) if quick else (4.0, 3.0, 2.0)
     n_seeds = 3 if quick else 5
@@ -1243,13 +1238,11 @@ def run_e18(quick: bool = True, seed: int = 20) -> ExperimentResult:
                 if backend == "scatter+repair":
                     quorum_watch = GroupQuorumWatch(sim, _group_quorum_probe(system))
                     quorum_watch.start()
-                storm = NodeLossStorm(
-                    sim,
-                    FaultTarget.for_system(system),
-                    interval=interval,
-                    max_losses=18,
-                    min_alive=8,
-                )
+                target = FaultTarget.for_system(system)
+                storm = ScheduleRunner(sim, system, target, node_loss_storm(
+                    sim.rng("nemesis:node-loss-storm"), duration, target.node_ids(),
+                    interval=interval, max_losses=18, min_alive=8,
+                ))
                 start = sim.now
                 storm.start()
                 # Replacement capacity arrives at the loss rate, offset so
@@ -1280,7 +1273,7 @@ def run_e18(quick: bool = True, seed: int = 20) -> ExperimentResult:
                 metrics = workload_metrics(
                     workload.all_records(), window=(start, fault_end)
                 )
-                losses += sum(1 for e in storm.events if e.action == "node_loss")
+                losses += len(target.lost_ids())
                 joins += trial_joins
                 ops += metrics["ops"]
                 ok_ops += round(metrics["availability"] * metrics["ops"])

@@ -413,44 +413,6 @@ def _bench_accept_msgs_per_slot(n: int) -> Callable[[], int]:
     return run
 
 
-def _bench_idle_heartbeat_rounds(idle_s: float) -> Callable[[], int]:
-    """An idle group's heartbeat cadence, as counts.  A 3-replica group
-    at the default ``PaxosConfig`` settles for 2 sim-s (election, read
-    barrier), then runs ``idle_s`` sim-s with nothing to replicate, so
-    its leader renews once per ``lease_duration − heartbeat_interval``.
-    The rounds per idle sim-s and the share of 1 ms samples at which the
-    leader's lease was live land in ``extra``, where
-    ``scripts/check_perf.sh`` holds them at exactly 1.8 and 1.0; the
-    value is rounds per host second.
-    """
-
-    def run() -> int:
-        from repro.consensus.harness import build_cluster, record_sends
-
-        t0 = time.perf_counter()
-        sim = Simulator(seed=1)
-        net = SimNetwork(sim, latency=ConstantLatency(0.001))
-        hosts = build_cluster(sim, net, n=3)
-        sent = record_sends(hosts)
-        sim.run_for(2.0)
-        settled = len(sent)
-        leader = hosts[0].replica
-        samples = round(idle_s * 1000)
-        live = 0
-        for _ in range(samples):
-            sim.run_for(0.001)
-            live += leader.lease_active
-        rounds = sum(src == "n0" and kind == "Heartbeat" for src, _dst, kind in sent[settled:]) // 2
-        run.self_timed = (rounds, time.perf_counter() - t0)  # type: ignore[attr-defined]
-        run.extra = {  # type: ignore[attr-defined]
-            "rounds_per_idle_s": round(rounds / idle_s, 3),
-            "lease_live_share": round(live / samples, 4),
-        }
-        return rounds
-
-    return run
-
-
 def _bench_wal_fsync_per_ack(n: int) -> Callable[[], int]:
     """Per-ack WAL cost against log length: ``n`` append + fsync pairs
     on a region already retaining 100 synced records and on one
@@ -575,7 +537,6 @@ def run_microbenchmarks(quick: bool = False, repeat: int = 3) -> dict:
         ("follower_read_window", "checks_per_s", _bench_follower_read_window(20_000)),
         ("accept_msgs_per_slot", "msgs_per_s", _bench_accept_msgs_per_slot(n_slots)),
         ("cyclic_garbage_per_op", "ops_per_s", _bench_cyclic_garbage_per_op(garbage_duration)),
-        ("idle_heartbeat_rounds", "rounds_per_s", _bench_idle_heartbeat_rounds(10.0)),
     ]
 
     benchmarks = []

@@ -20,12 +20,12 @@ from repro.check.invariants import (
     check_txn_atomicity,
 )
 from repro.check.plan import sample_plan
-from repro.check.schedule import ScheduleRunner
 from repro.check.workload import ScriptedWorkload
 from repro.consensus.replica import PaxosReplica
 from repro.dht.client import ScatterClient
 from repro.dht.ring import KEY_SPACE, KeyRange
 from repro.dht.system import ScatterSystem
+from repro.faults.schedule import ScheduleRunner
 from repro.faults.target import FaultTarget
 from repro.harness.builders import DeploymentParams, build_scatter_deployment
 from repro.policies import ScatterPolicy

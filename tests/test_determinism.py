@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.faults import FaultTarget, build_scenario
+from repro.faults import FaultTarget, ScheduleRunner, build_scenario
 from repro.harness.builders import DeploymentParams, build_scatter_deployment
 from repro.harness.experiments import run_e05, run_e12
 from repro.policies import ScatterPolicy
@@ -58,17 +58,19 @@ def run_nemesis_fingerprint(seed, scenario="chaos"):
     sim, system, clients = deployment.sim, deployment.system, deployment.clients
     workload = ClosedLoopWorkload(sim, clients, UniformKeys(20), read_fraction=0.5)
     workload.start()
-    suite = build_scenario(scenario, sim, FaultTarget.for_system(system))
-    suite.start()
+    target = FaultTarget.for_system(system)
+    schedule = build_scenario(scenario, sim, target, 20.0)
+    runner = ScheduleRunner(sim, system, target, schedule)
+    runner.start()
     sim.run_for(20.0)
-    suite.stop()
+    runner.stop()
     sim.run_for(3.0)
     workload.stop()
     history = tuple(
         (r.op, r.key, round(r.invoke_time, 9), round(r.response_time, 9))
         for r in workload.all_records()
     )
-    return suite.schedule_fingerprint(), history
+    return (tuple(schedule), tuple(runner.applied)), history
 
 
 class TestNemesisDeterminism:

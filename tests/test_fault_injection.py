@@ -17,7 +17,8 @@ import pytest
 from repro.analysis import LivenessWatchdog, check_history
 from repro.consensus import Command, PaxosConfig
 from repro.consensus.harness import build_cluster
-from repro.faults import CrashRestartStorm, FaultTarget
+from repro.faults import FaultTarget, ScheduleRunner
+from repro.faults.nemesis import crash_storm
 from repro.dht.client import ScatterClient
 from repro.dht.ring import KEY_SPACE
 from repro.dht.system import ScatterSystem
@@ -58,7 +59,7 @@ def pump_proposals(sim, hosts, rounds, interval=1.0, prefix="r"):
 
 class TestPaxosUnderFaults:
     # The crash/restart schedule used to be hand-coded in this test; it
-    # now runs on the nemesis layer (same shape: random victims, random
+    # now comes from the nemesis layer (same shape: random victims, random
     # downtimes, everyone restarted at the end) with the same invariant.
     @pytest.mark.slow
     @pytest.mark.parametrize("seed", range(6))
@@ -68,17 +69,20 @@ class TestPaxosUnderFaults:
         hosts = build_cluster(sim, net, n=5, config=FAST)
         sim.run_for(1.0)
         pump_proposals(sim, hosts, rounds=12, interval=1.3)
-        storm = CrashRestartStorm(
-            sim,
-            FaultTarget.for_hosts(net, hosts),
+        target = FaultTarget.for_hosts(net, hosts)
+        schedule = crash_storm(
+            sim.rng("nemesis:crash-storm"),
+            16.0,
+            target.node_ids(),
             interval=1.5,
             downtime=(0.5, 2.5),
             max_down=2,
         )
+        storm = ScheduleRunner(sim, None, target, schedule)
         storm.start()
         sim.run_for(16.0)
         storm.stop()  # restarts anything still down
-        assert any(e.action == "crash" for e in storm.events)
+        assert any(line.endswith(" crash") for line in storm.applied)
         sim.run_for(15.0)
         assert applied_prefixes_consistent(hosts)
 

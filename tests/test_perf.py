@@ -28,7 +28,6 @@ BENCH_NAMES = {
     "follower_read_window",
     "accept_msgs_per_slot",
     "cyclic_garbage_per_op",
-    "idle_heartbeat_rounds",
 }
 
 
