@@ -48,10 +48,10 @@ def main() -> None:
     sim.run_for(0.2)  # before the first maintenance tick fires
     before = leaders(system)
 
-    # Drive writes (recursive routing, like an app running on the overlay).
+    # Drive writes while the policy works.
     client = ScatterClient(
         "wan-app", sim, net, seed_provider=system.alive_node_ids,
-        config=ClientConfig(routing="recursive", rpc_timeout=1.5, op_timeout=12.0),
+        config=ClientConfig(rpc_timeout=1.5, op_timeout=12.0),
     )
     workload = ClosedLoopWorkload(sim, [client], UniformKeys(50), read_fraction=0.2)
     workload.start()
@@ -75,7 +75,7 @@ def main() -> None:
         print(f"{gid:<8} {b:>6} -> {a:<14} {lb:6.1f} -> {la:<6.1f}{mark}")
     print(f"\n{moved} leader(s) migrated toward their quorum's latency optimum")
     ops = [r for r in client.records if r.completed]
-    print(f"({len(ops)} recursive client ops completed meanwhile, all linearizable)")
+    print(f"({len(ops)} client ops completed meanwhile)")
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Any
 
+from repro.consensus.replica import PaxosConfig
 from repro.faults.schedule import FAULT_KINDS, FaultEntry
 from repro.sim.loop import _stable_hash
 
@@ -78,14 +79,12 @@ class FuzzPlan:
     # Sampled plans enable it; old repro files deserialize to False and
     # replay exactly as recorded.
     repair: bool = False
-    # Write-path throughput knobs (slot batching, pipeline flow control,
-    # accept coalescing).  Sampled plans randomize them so
-    # acceptor-durability polices batched acks under disk faults and
-    # power failures; old repro files deserialize to the historical
-    # defaults.
+    # Write-path throughput knobs (slot batching, pipeline flow
+    # control).  Sampled plans randomize them so acceptor-durability
+    # polices batched acks under disk faults and power failures; old
+    # repro files deserialize to the shipped defaults.
     batching: bool = False
-    pipeline_depth: int = 0
-    accept_coalescing: bool = False
+    pipeline_depth: int = PaxosConfig.pipeline_depth
     # Scale-out read path: linearizable follower reads plus round-robin
     # client read routing.  Sampled plans flip it on about half the
     # time so the fuzzer polices the grant/quorum-expansion protocol
@@ -264,8 +263,9 @@ def sample_plan(master_seed: int, iteration: int) -> FuzzPlan:
     # schedules) are unchanged.
     wp = random.Random(_stable_hash(f"writepath:{seed}"))
     batching = wp.random() < 0.5
-    pipeline_depth = wp.choice([0, 0, 2, 4, 8])
-    accept_coalescing = wp.random() < 0.5
+    # The choices stay as they were, so no draw moves; a 0 runs the
+    # shipped depth.
+    pipeline_depth = wp.choice([0, 0, 2, 4, 8]) or PaxosConfig.pipeline_depth
 
     # Same trick for the read-path knob: its own derived stream, so the
     # write-path draws above (and every existing plan) are unchanged.
@@ -288,7 +288,6 @@ def sample_plan(master_seed: int, iteration: int) -> FuzzPlan:
         repair=True,
         batching=batching,
         pipeline_depth=pipeline_depth,
-        accept_coalescing=accept_coalescing,
         follower_reads=follower_reads,
     )
 
@@ -316,7 +315,6 @@ def plan_to_dict(plan: FuzzPlan) -> dict[str, Any]:
         "repair": plan.repair,
         "batching": plan.batching,
         "pipeline_depth": plan.pipeline_depth,
-        "accept_coalescing": plan.accept_coalescing,
         "follower_reads": plan.follower_reads,
     }
 
@@ -324,7 +322,10 @@ def plan_to_dict(plan: FuzzPlan) -> dict[str, Any]:
 def plan_from_dict(data: dict[str, Any]) -> FuzzPlan:
     # Keys no field has are ignored: a repro file written while the disk
     # had a group-commit window carries ``fsync_coalesce``, and replays
-    # on the one-fsync-at-a-time disk every plan now runs.
+    # on the one-fsync-at-a-time disk every plan now runs; one written
+    # while Accepts could be coalesced carries ``accept_coalescing``,
+    # and replays on the per-slot path.  A legacy ``pipeline_depth`` of
+    # 0 (unbounded) runs the shipped depth.
     schedule = tuple(
         FaultEntry(e["time"], e["kind"], e["duration"], dict(e["params"]))
         for e in data["schedule"]
@@ -345,7 +346,6 @@ def plan_from_dict(data: dict[str, Any]) -> FuzzPlan:
         storage=data.get("storage", False),
         repair=data.get("repair", False),
         batching=data.get("batching", False),
-        pipeline_depth=data.get("pipeline_depth", 0),
-        accept_coalescing=data.get("accept_coalescing", False),
+        pipeline_depth=data.get("pipeline_depth") or PaxosConfig.pipeline_depth,
         follower_reads=data.get("follower_reads", False),
     )

@@ -99,7 +99,6 @@ def run_plan(plan: FuzzPlan, bug: str | None = None) -> FuzzOutcome:
                     EXPERIMENT_PAXOS,
                     batch=plan.batching,
                     pipeline_depth=plan.pipeline_depth,
-                    accept_coalescing=plan.accept_coalescing,
                     follower_reads=plan.follower_reads,
                 ),
                 storage=StorageConfig() if plan.storage else None,

@@ -38,11 +38,10 @@ class Accept:
     """Phase 2a for a run of *contiguous* slots: slot ``start_slot + i``
     carries ``commands[i]``.  Piggybacks the leader's commit index.
 
-    A lone proposal is a run of one.  The receiver journals every
-    covered slot and answers with one :class:`Accepted` from a single
-    durability barrier, so a pipelined burst packed by
-    ``PaxosConfig.accept_coalescing`` costs one network delivery per
-    peer instead of one per slot.
+    The leader sends each slot's Accept as the slot is issued, and its
+    retry tick retransmits per slot, so every run it sends is a run of
+    one.  The receiver journals every covered slot and answers with one
+    :class:`Accepted` from a single durability barrier.
     """
 
     ballot: Ballot

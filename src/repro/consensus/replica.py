@@ -12,9 +12,10 @@ machine.  The protocol follows the classic Multi-Paxos structure:
   the current configuration — the leader's own durable record plus
   peer acks — accepts it.  Chosen slots are applied in order.  An
   ``Accept`` carries a run of contiguous slots and an ``Accepted`` the
-  slots of it that were journaled; a lone proposal is a run of one, so
-  there is one acceptor step (``_accept``) and one ack count
-  (``_count_acks``) whatever the run's length or origin.
+  slots of it that were journaled.  The leader sends each slot's
+  ``Accept`` as the slot is issued and retransmits per slot, a run of
+  one; there is one acceptor step (``_accept``) and one ack count
+  (``_count_acks``) whatever the run's origin.
 - **Leases**: the leader renews a read lease with each heartbeat round
   that a majority acknowledges; while the lease is live (and the leader
   has committed a no-op in its own ballot — the read barrier) reads are
@@ -134,15 +135,8 @@ class PaxosConfig:
     # leader.  Proposals beyond the window wait in the admission queue
     # and are issued as commits drain, so bursty load fills the pipe
     # instead of growing unbounded retry state (retry ticks scan only
-    # the bounded in-flight window).  0 = unbounded (historical
-    # behavior).
-    pipeline_depth: int = 0
-    # Pack the slots issued in one event turn into one Accept per
-    # contiguous run and peer (and their acks into one Accepted),
-    # cutting per-slot network deliveries on the pipelined hot path.
-    # Off by default: every slot is broadcast as it is issued, a run
-    # of one.
-    accept_coalescing: bool = False
+    # the bounded in-flight window).  1 is stop-and-wait.
+    pipeline_depth: int = 8
     # Linearizable follower reads (scale-out read path).  The leader
     # piggybacks per-member read grants plus its commit frontier on
     # heartbeats; a granted follower serves a read locally when its
@@ -159,8 +153,8 @@ class PaxosConfig:
             raise ValueError("lease_duration must be < election_timeout")
         if self.heartbeat_interval >= self.lease_duration:
             raise ValueError("heartbeat_interval must be < lease_duration")
-        if self.pipeline_depth < 0:
-            raise ValueError("pipeline_depth must be >= 0")
+        if self.pipeline_depth < 1:
+            raise ValueError("pipeline_depth must be >= 1")
 
 
 @dataclass
@@ -276,11 +270,6 @@ class PaxosReplica:
         self._batch_buffer: list[tuple[Command, Future]] = []
         self._batch_flush_pending = False
         self._batch_flush_timer: Any = None
-
-        # Accept-coalescing outbox (leader only): slots issued since the
-        # last flush, packed into one Accept per contiguous run.
-        self._accept_outbox: list[int] = []
-        self._accept_flush_pending = False
 
         # Follower reads.  ``write_keys_fn`` classifies a command's
         # write set as ``(keys, wildcard)``; without one every command
@@ -536,8 +525,6 @@ class PaxosReplica:
         if timer is not None:
             self._batch_flush_timer = None
             timer.cancel()
-        self._accept_outbox.clear()
-        self._accept_flush_pending = False
         self._grants.clear()
 
     def _reset_follower_read_state(self) -> None:
@@ -986,8 +973,7 @@ class PaxosReplica:
 
     def _pipe_full(self) -> bool:
         """Flow control: is the in-flight unchosen-slot window exhausted?"""
-        depth = self.config.pipeline_depth
-        return depth > 0 and len(self._pending) >= depth
+        return len(self._pending) >= self.config.pipeline_depth
 
     def _flush_queue(self) -> None:
         while (
@@ -1010,32 +996,9 @@ class PaxosReplica:
                 PAXOS_SLOT, slot=slot, leader=self.replica_id, cmd=command.kind
             )
         self._pending[slot] = pending
-        if self.config.accept_coalescing:
-            # Defer the broadcast to the end of this event turn so every
-            # slot issued in it (a drained queue, a flushed batch burst)
-            # packs into one Accept per contiguous run and peer.
-            self._accept_outbox.append(slot)
-            if not self._accept_flush_pending:
-                self._accept_flush_pending = True
-                self.transport.set_timer(0.0, self._flush_accept_outbox)
-            return
         run = [(slot, command)]
         self._send_peers(self._accept_msg(run))
         self._accept_own(run)
-
-    def _flush_accept_outbox(self) -> None:
-        self._accept_flush_pending = False
-        outbox, self._accept_outbox = self._accept_outbox, []
-        live = sorted(
-            (slot, self._pending[slot].command)
-            for slot in set(outbox)
-            if slot in self._pending
-        )
-        for run in _contiguous_runs(live):
-            if not self.is_leader or self.retired:
-                return  # also mid-loop: our own vote can choose a slot that retires us
-            self._send_peers(self._accept_msg(run))
-            self._accept_own(run)
 
     def _send_peers(self, msg: Any) -> None:
         for member in self.members:
@@ -1401,13 +1364,12 @@ class PaxosReplica:
                     continue
                 need.setdefault(member, []).append((slot, pending.command))
         own = need.pop(self.replica_id, [])
-        split = _contiguous_runs if self.config.accept_coalescing else _single_runs
         for member, pairs in need.items():
-            for run in split(pairs):
-                self.transport.send(member, self._accept_msg(run))
-        for run in split(own):
+            for pair in pairs:
+                self.transport.send(member, self._accept_msg([pair]))
+        for pair in own:
             if self.is_leader:  # our vote can choose a slot that retires us
-                self._accept_own(run)
+                self._accept_own([pair])
         if self._pending:
             self._retry_delay = decorrelated_jitter(
                 self.transport.rng(),
@@ -1551,22 +1513,6 @@ class PaxosReplica:
                 )
 
     _HANDLERS: dict[type, Callable[["PaxosReplica", str, Any], None]] = {}
-
-
-def _contiguous_runs(pairs: list[tuple[int, Command]]) -> list[list[tuple[int, Command]]]:
-    """Split sorted (slot, command) pairs into runs of consecutive slots."""
-    runs: list[list[tuple[int, Command]]] = []
-    for slot, command in pairs:
-        if runs and slot == runs[-1][-1][0] + 1:
-            runs[-1].append((slot, command))
-        else:
-            runs.append([(slot, command)])
-    return runs
-
-
-def _single_runs(pairs: list[tuple[int, Command]]) -> list[list[tuple[int, Command]]]:
-    """The per-slot path's split: every pair is its own run."""
-    return [[pair] for pair in pairs]
 
 
 PaxosReplica._HANDLERS = {

@@ -31,11 +31,6 @@ class ClientConfig:
     retry_cap: float = 1.5
     max_hops: int = 32
     cache_size: int = 128
-    # "iterative": the client follows redirects itself (default).
-    # "recursive": nodes forward on the client's behalf (app-on-overlay
-    # deployments); recursion depth per request below.
-    routing: str = "iterative"
-    recursive_ttl: int = 8
     # Replica-aware read routing (the scale-out read path; pair with
     # PaxosConfig.follower_reads).  "leader" sends Gets to the leader
     # hint as always; "round_robin" rotates them across the cached
@@ -56,8 +51,6 @@ class ClientConfig:
     route_table: bool = False
 
     def __post_init__(self) -> None:
-        if self.routing not in ("iterative", "recursive"):
-            raise ValueError(f"bad routing mode {self.routing}")
         if self.read_routing not in ("leader", "round_robin", "nearest"):
             raise ValueError(f"bad read_routing mode {self.read_routing}")
 
@@ -206,11 +199,9 @@ class ScatterClient(Node):
                 continue
             visits[target] = visits.get(target, 0) + 1
             record.attempts += 1
-            ttl = self.config.recursive_ttl if self.config.routing == "recursive" else 0
-            timeout = self.config.rpc_timeout * (1 + ttl)
             try:
                 resp = yield self.request(
-                    target, ClientOpReq(op=op, dedup=dedup, ttl=ttl), timeout=timeout
+                    target, ClientOpReq(op=op, dedup=dedup), timeout=self.config.rpc_timeout
                 )
             except (RpcTimeout, RpcError):
                 # Decorrelated-jitter pause before the fallback target so

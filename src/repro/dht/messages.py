@@ -22,15 +22,12 @@ class GroupMsg:
 class ClientOpReq:
     """A storage operation sent by a client to some node.
 
-    ``ttl > 0`` selects *recursive* routing: a node that does not own the
-    key forwards the request itself (decrementing ttl) instead of
-    redirecting the client — the mode used when the application runs on
-    the overlay nodes, as the paper's Chirp deployment did.
+    A node that does not own the key answers ``redirect``: the client
+    follows the hops itself (iterative routing).
     """
 
     op: KvOp
     dedup: tuple[str, int] | None = None
-    ttl: int = 0
 
 
 @dataclass(frozen=True, slots=True)

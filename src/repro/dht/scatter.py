@@ -84,8 +84,8 @@ class ScatterConfig:
     # CPU service time per inbound *group* (Paxos) message, through the
     # same per-node CPU queue as op_service_time.  Models deployments
     # where per-message constant costs (syscalls, dispatch, serialization)
-    # dominate the write path — exactly what accept coalescing and batch
-    # commands amortize.  Zero (default) keeps message handling free.
+    # dominate the write path — exactly what batch commands and
+    # pipelining amortize.  Zero (default) keeps message handling free.
     msg_service_time: float = 0.0
     # Durable-storage model (repro.storage).  None keeps the historical
     # fiction (restart recovers the replica object perfectly and no disk
@@ -273,7 +273,7 @@ class ScatterNode(Node):
         if self.config.msg_service_time > 0:
             # Same CPU queue as op_service_time: each group message costs
             # msg_service_time of node CPU before it is handled, so a
-            # chatty write path saturates the node and coalescing pays.
+            # chatty write path saturates the node and batching pays.
             start = max(self.sim.now, self._svc_free_at)
             self._svc_free_at = start + self.config.msg_service_time
             self.set_timer(self._svc_free_at - self.sim.now, self._handle_group_msg, src, msg)
@@ -321,12 +321,6 @@ class ScatterNode(Node):
                     replica = hosted
         if replica is not None:
             if replica.status is GroupStatus.RETIRED:
-                if msg.ttl > 0 and replica.forwarding:
-                    best = next(
-                        (g for g in replica.forwarding if g.range.contains(key)),
-                        replica.forwarding[0],
-                    )
-                    return self._forward_client_op(msg, best)
                 return ClientOpResp(status="moved", groups=replica.forwarding)
             if replica.status is GroupStatus.FROZEN:
                 return ClientOpResp(status="busy")
@@ -349,31 +343,11 @@ class ScatterNode(Node):
             if isinstance(result, Future):
                 return _map_future(result, self._client_result_to_resp)
             return ClientOpResp(status="ok", result=result)
-        # Retired groups linger in self.groups; if none matched, redirect
-        # (iterative) or forward on the client's behalf (recursive).
+        # Retired groups linger in self.groups; if none matched, redirect.
         candidates = self._redirect_candidates(key)
         if not candidates:
             return ClientOpResp(status="lost")
-        if msg.ttl > 0:
-            return self._forward_client_op(msg, candidates[0])
         return ClientOpResp(status="redirect", groups=tuple(candidates[:5]))
-
-    def _forward_client_op(self, msg: ClientOpReq, target: GroupInfo) -> Future:
-        """Recursive routing: relay toward the owner and pass back the answer."""
-        downstream = ClientOpReq(op=msg.op, dedup=msg.dedup, ttl=msg.ttl - 1)
-        future = self.request(
-            target.leader_hint, downstream, timeout=self.config.txn_rpc_timeout
-        )
-        out = Future()
-
-        def relay(f: Future) -> None:
-            if f.exception is not None:
-                out.set_result(ClientOpResp(status="busy"))
-            else:
-                out.set_result(f.result())
-
-        future.add_callback(relay)
-        return out
 
     def _client_result_to_resp(self, future: Future) -> ClientOpResp:
         exc = future.exception
@@ -385,7 +359,7 @@ class ScatterNode(Node):
 
     def _redirect_candidates(self, key: int) -> list[GroupInfo]:
         """Known groups ordered by how close their start precedes ``key``."""
-        infos = self._routing_groups()
+        infos = self._freshest_groups()
         containing = [g for g in infos if g.range.contains(key)]
         if containing:
             return containing
@@ -395,7 +369,7 @@ class ScatterNode(Node):
     # Message handlers: join / leave
     # ------------------------------------------------------------------
     def _on_join_lookup(self, src: str, msg: JoinLookupReq) -> JoinLookupResp:
-        target = self.policy.choose_join_target(self._routing_groups(), self._rng)
+        target = self.policy.choose_join_target(self._freshest_groups(), self._rng)
         return JoinLookupResp(target=target)
 
     def _on_group_join(self, src: str, msg: GroupJoinReq) -> Any:
@@ -559,7 +533,7 @@ class ScatterNode(Node):
     # Gossip (finger maintenance)
     # ------------------------------------------------------------------
     def _on_gossip(self, src: str, msg: GossipReq) -> GossipResp:
-        infos = self._routing_groups()
+        infos = self._freshest_groups()
         self._rng.shuffle(infos)
         return GossipResp(infos=tuple(infos[:8]))
 
@@ -734,12 +708,16 @@ class ScatterNode(Node):
         return False
 
     def _freshest_groups(self) -> list[GroupInfo]:
-        """``known_groups`` but preferring newer-epoch cache entries.
+        """The group view served to clients, joiners, gossip peers and
+        the repair donor chooser: ``known_groups``, but a newer-epoch
+        cache entry wins over a stale neighbor pointer.
 
-        Routing usually tolerates stale neighbor pointers (a wrong hop
-        just forwards), so ``known_groups`` lets them shadow the cache.
-        The repair donor chooser cannot: a stale pointer that overstates
-        a donor's membership would be re-picked every tick.
+        A group can turn over its entire membership (every original
+        member lost, every seat refilled by migrates).  A stale pointer
+        then names only dead nodes; served as-is it would re-propagate
+        through gossip and leave a healthy group unroutable, and the
+        donor chooser would re-pick a donor whose membership it
+        overstates every tick.
         """
         infos = {info.gid: info for info in self.known_groups()}
         for gid, info in self.cache.items():
@@ -747,24 +725,6 @@ class ScatterNode(Node):
             if cur is not None and gid not in self.groups and info.epoch > cur.epoch:
                 infos[gid] = info
         return list(infos.values())
-
-    def _routing_groups(self) -> list[GroupInfo]:
-        """The group view served to clients, joiners, and gossip peers.
-
-        Repair-enabled deployments can turn over a group's *entire*
-        membership (every original member permanently lost, every seat
-        refilled by pull-in migrates).  A stale neighbor pointer then
-        names only dead nodes, and because ``known_groups`` lets it
-        shadow the fresher gossip cache, the stale view re-propagates
-        forever: a healthy group becomes unroutable even though all its
-        replicas hold the data.  Repair deployments therefore serve the
-        epoch-freshest view.  Without repair a pointer can never outlive
-        the whole membership, so the classic view is kept byte-for-byte
-        (the zero-perturbation guarantee for the baseline experiments).
-        """
-        if self.policy.repair:
-            return self._freshest_groups()
-        return self.known_groups()
 
     def _maybe_transfer_leadership(self, replica: GroupReplica) -> None:
         expected = lambda a, b: self.net.latency.expected(a, b)

@@ -1314,7 +1314,7 @@ def run_e19(quick: bool = True, seed: int = 19) -> ExperimentResult:
 
     The cost model makes per-message and per-fsync constants the
     bottleneck (msg_service_time on the CPU queue, fsync_latency on the
-    disk), which is exactly what slot batching and accept coalescing
+    disk), which is exactly what slot batching and pipelining
     amortize; the disk runs one fsync at a time in every cell, so each
     fsync covers whatever was appended during the one before it.
     Every cell runs the linearizability checker; the throughput win
@@ -1330,32 +1330,24 @@ def run_e19(quick: bool = True, seed: int = 19) -> ExperimentResult:
         notes=(
             "write-heavy closed loop (10% reads) against 3 groups with "
             "1 ms CPU per group message and 2 ms fsyncs, one fsync at a "
-            "time per node disk: the baseline pays per-slot messages; "
-            "batch=N packs N puts into one slot, pipe=D keeps D slots in "
-            "flight (with accept coalescing packing their Accepts per "
-            "peer); an fsync covers what was appended during the one "
-            "before it"
+            "time per node disk: batch=N packs N puts into one slot "
+            "(0 = off, the default), pipe=D keeps D slots in flight "
+            "(1 = stop-and-wait, 8 = the default); an fsync covers what "
+            "was appended during the one before it"
         ),
     )
-    # (batch_max, pipeline_depth, accept_coalescing).
-    # batch 0 = batching off; pipe 0 = unbounded in-flight slots.
+    # (batch_max, pipeline_depth); batch 0 = batching off.
     cells = [
-        (0, 0, False),   # defaults: the seed write path
-        (16, 0, False),  # slot batching only
-        (0, 8, True),    # pipelining + accept coalescing only
-        (16, 8, True),   # full stack
+        (0, 8),   # defaults
+        (16, 8),  # full stack: batching on the default pipe
+        (0, 1),   # stop-and-wait
+        (16, 1),  # batching only, stop-and-wait
     ]
     if not quick:
-        cells += [
-            (4, 0, False),
-            (16, 4, True),
-            (16, 16, True),
-        ]
+        cells += [(4, 8), (16, 4), (16, 16)]
     duration = 12.0 if quick else 30.0
-    # Both scales: 48 closed-loop clients cap the batched cells near
-    # 48 / 22.6 ms = 2,120 ops/s, under 2x the defaults cell.
     n_clients = 64
-    for batch_max, pipe, coalesce in cells:
+    for batch_max, pipe in cells:
         paxos = PaxosConfig(
             heartbeat_interval=0.15,
             election_timeout=0.7,
@@ -1366,7 +1358,6 @@ def run_e19(quick: bool = True, seed: int = 19) -> ExperimentResult:
             batch_window=0.003,
             batch_max=batch_max or 16,
             pipeline_depth=pipe,
-            accept_coalescing=coalesce,
         )
         config = experiment_scatter_config(paxos=paxos, storage=StorageConfig())
         config.op_service_time = 0.0002

@@ -329,8 +329,8 @@ def _bench_pooled_send_deliver(n: int) -> Callable[[], int]:
 
 def _bench_write_path(n: int) -> Callable[[], int]:
     """Write-path saturation: a 3-replica Paxos group on storage with
-    the full throughput stack on (slot batching, pipelined slots,
-    accept coalescing) chewing through ``n`` closed-pipe proposals at
+    the full throughput stack on (slot batching on the default
+    8-deep pipeline) chewing through ``n`` closed-pipe proposals at
     concurrency 64.  Guards the hot path the write-path optimizations
     touch; returns simulator events processed.
     """
@@ -351,8 +351,6 @@ def _bench_write_path(n: int) -> Callable[[], int]:
             batch=True,
             batch_window=0.002,
             batch_max=16,
-            pipeline_depth=8,
-            accept_coalescing=True,
         )
         hosts = build_cluster(sim, net, n=3, config=config, storage=StorageConfig())
         sim.run_for(0.5)  # let the initial leader settle

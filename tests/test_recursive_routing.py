@@ -1,40 +1,43 @@
-"""Tests for recursive (server-side) routing."""
+"""Routing without server-side forwarding.
 
-import pytest
+A node that does not own a key answers ``redirect`` (or ``moved`` for a
+group it retired), and the client follows the hops itself.  Each test
+seeds its clients with a node outside the key's owner group, so every
+op starts with that redirect.
+"""
 
-from repro.dht.client import ClientConfig, ScatterClient
+from repro.dht.client import ScatterClient
 from repro.dht.ring import hash_key
 
 from test_scatter_basic import build
 
 
-def recursive_client(sim, net, system, name="rc0"):
-    return ScatterClient(
-        name, sim, net, seed_provider=system.alive_node_ids,
-        config=ClientConfig(routing="recursive"),
+def redirected_client(sim, net, system, key, name):
+    """A cold client that only knows a node outside ``key``'s owner group."""
+    owner = next(
+        g for g in system.active_groups().values() if g.range.contains(hash_key(key))
     )
+    outside = next(n for n in system.alive_node_ids() if n not in owner.paxos.members)
+    return ScatterClient(name, sim, net, seed_provider=lambda: [outside])
+
+
+def redirected_op(sim, net, system, key, name, value=None):
+    client = redirected_client(sim, net, system, key, name)
+    future = client.get(key) if value is None else client.put(key, value)
+    return client, future
 
 
 class TestRecursiveRouting:
     def test_put_get_roundtrip(self):
         sim, net, system = build()
-        client = recursive_client(sim, net, system)
-        f = client.put("rkey", "rvalue")
+        putter, f = redirected_op(sim, net, system, "rkey", "rc0", "rvalue")
         sim.run_for(3.0)
         assert f.result().ok
-        g = client.get("rkey")
+        getter, g = redirected_op(sim, net, system, "rkey", "rc1")
         sim.run_for(3.0)
         assert g.result().value == "rvalue"
-
-    def test_cold_client_needs_one_round_trip(self):
-        # Recursive mode: the first node forwards internally, so the
-        # client sees a single request/response even with a cold cache.
-        sim, net, system = build(n_nodes=12, n_groups=4)
-        client = recursive_client(sim, net, system)
-        f = client.put("cold-key", 1)
-        sim.run_for(3.0)
-        assert f.result().ok
-        assert client.records[0].hops == 1
+        # Each cold client was redirected once, then reached the owner.
+        assert [r.hops for r in putter.records + getter.records] == [2, 2]
 
     def test_iterative_cold_client_often_needs_more(self):
         sim, net, system = build(n_nodes=12, n_groups=4)
@@ -49,29 +52,29 @@ class TestRecursiveRouting:
 
     def test_many_keys_recursive(self):
         sim, net, system = build()
-        client = recursive_client(sim, net, system)
-        futures = [client.put(f"rk-{i}", i) for i in range(30)]
+        puts = [redirected_op(sim, net, system, f"rk-{i}", f"p{i}", i) for i in range(30)]
         sim.run_for(8.0)
-        assert all(f.result().ok for f in futures)
-        gets = [client.get(f"rk-{i}") for i in range(30)]
+        assert all(f.result().ok for _c, f in puts)
+        gets = [redirected_op(sim, net, system, f"rk-{i}", f"g{i}") for i in range(30)]
         sim.run_for(8.0)
-        assert [f.result().value for f in gets] == list(range(30))
+        assert [f.result().value for _c, f in gets] == list(range(30))
+        assert all(c.records[0].hops >= 2 for c, _f in puts + gets)
 
     def test_recursive_works_across_split(self):
         from test_group_ops import build_manual
 
         sim, net, system = build_manual(n_nodes=6, n_groups=1)
-        client = recursive_client(sim, net, system)
+        client = ScatterClient("rc0", sim, net, seed_provider=system.alive_node_ids)
         for i in range(10):
             client.put(f"sp-{i}", i)
         sim.run_for(5.0)
         leader = system.leader_of(next(iter(system.active_groups())))
         leader.host.start_split(leader)
         sim.run_for(8.0)
-        gets = [client.get(f"sp-{i}") for i in range(10)]
+        assert system.group_count() == 2
+        gets = [redirected_op(sim, net, system, f"sp-{i}", f"g{i}") for i in range(10)]
         sim.run_for(8.0)
-        assert all(f.result().ok and f.result().value == i for i, f in enumerate(gets))
-
-    def test_bad_routing_mode_rejected(self):
-        with pytest.raises(ValueError):
-            ClientConfig(routing="telepathic")
+        assert all(
+            f.result().ok and f.result().value == i for i, (_c, f) in enumerate(gets)
+        )
+        assert all(c.records[0].hops >= 2 for c, _f in gets)

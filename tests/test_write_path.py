@@ -1,12 +1,12 @@
 """The write-path throughput stack: WAL group commit, pipelined slots
-with flow control, accept coalescing, and the batch-timer fix.
+with flow control, per-slot Accepts, and the batch-timer fix.
 
 Covers four layers: the durability barrier on the disk model (one
 fsync at a time, each covering what was appended during the one before
 it; crash semantics), pipeline flow control in the leader (bounded
-in-flight slots + admission queue), accept coalescing on the wire (one
-``Accept`` carrying a run of slots), and the zero-perturbation
-guarantee that the consensus knobs at their defaults leave deployments
+in-flight slots + admission queue), the wire (every ``Accept`` and
+``Accepted`` carries one slot), and the zero-perturbation guarantee
+that the consensus knobs at their defaults leave deployments
 byte-identical to builds that never had them.
 """
 
@@ -91,9 +91,12 @@ class _Clock:
 class TestGroupCommit:
     def test_one_fsync_covers_a_window_of_appends(self):
         # The window is the in-flight fsync.  Thirty proposals reach each
-        # disk in one instant: the first append starts an fsync, the other
-        # 29 arrive while it runs and share the next one.
-        sim, net, hosts = make_cluster(PaxosConfig(**FAST), storage=StorageConfig())
+        # disk in one instant (a pipe as deep as the burst): the first
+        # append starts an fsync, the other 29 arrive while it runs and
+        # share the next one.
+        sim, net, hosts = make_cluster(
+            PaxosConfig(pipeline_depth=30, **FAST), storage=StorageConfig()
+        )
         before = [total_fsyncs([h]) for h in hosts]
         futures = [hosts[0].propose(Command.app(i)) for i in range(30)]
         sim.run_for(3.0)
@@ -400,27 +403,15 @@ class TestPipeline:
         sim.run_for(5.0)
         assert 0 < high_water[0] <= 2
 
-    def test_depth_zero_is_unbounded(self):
-        sim, net, hosts = make_cluster(PaxosConfig(pipeline_depth=0, **FAST))
-        futures = [hosts[0].propose(Command.app(i)) for i in range(30)]
-        assert len(hosts[0].replica._pending) == 30
-        assert not hosts[0].replica._queue
-        sim.run_for(3.0)
-        assert all(f.exception is None for f in futures)
 
 
 # ---------------------------------------------------------------------------
-# Accept coalescing
+# One slot per Accept
 # ---------------------------------------------------------------------------
 class TestAcceptCoalescing:
-    def run_burst(self, coalescing, pipeline_depth=8):
+    def run_burst(self):
         """Run lengths of every Accept and Accepted sent for a 24-op burst."""
-        sim, net, hosts = make_cluster(
-            PaxosConfig(
-                accept_coalescing=coalescing, pipeline_depth=pipeline_depth, **FAST
-            ),
-            seed=3,
-        )
+        sim, net, hosts = make_cluster(PaxosConfig(**FAST), seed=3)
         runs = {"Accept": [], "Accepted": []}
         for host in hosts:
             transport = host.replica.transport
@@ -440,23 +431,15 @@ class TestAcceptCoalescing:
             assert app_payloads(host) == list(range(24))
         return runs
 
-    def test_bursts_pack_into_accept_batches(self):
-        packed = self.run_burst(coalescing=True)
-        assert max(packed["Accept"]) > 1
-        assert max(packed["Accepted"]) > 1
-        # A 24-op burst costs far fewer than 24 Accepts per peer.
-        plain = self.run_burst(coalescing=False)
-        assert len(packed["Accept"]) < 0.5 * len(plain["Accept"])
-
     def test_coalescing_off_sends_no_batches(self):
-        runs = self.run_burst(coalescing=False)
+        # Each slot's Accept leaves when the slot is issued, and a
+        # retransmission is per slot too: every message carries one.
+        runs = self.run_burst()
         assert set(runs["Accept"]) == {1}
         assert set(runs["Accepted"]) == {1}
 
     def test_retry_after_partition_retransmits_batches(self):
-        sim, net, hosts = make_cluster(
-            PaxosConfig(accept_coalescing=True, pipeline_depth=8, **FAST)
-        )
+        sim, net, hosts = make_cluster(PaxosConfig(**FAST))
         net.block("n0", "n2")
         futures = [hosts[0].propose(Command.app(i)) for i in range(6)]
         sim.run_for(1.0)  # commits via n1; n2 misses the original sends
@@ -591,7 +574,7 @@ def _drive(seed, *, paxos_extra=None, storage=None, msg_service_time=0.0):
     )
 
 
-FULL_STACK = dict(batch=True, pipeline_depth=8, accept_coalescing=True)
+FULL_STACK = dict(batch=True, pipeline_depth=8)
 
 
 class TestZeroPerturbation:
@@ -625,8 +608,7 @@ class TestFuzzKnobs:
 
         plans = [sample_plan(7, i) for i in range(24)]
         assert any(p.batching for p in plans)
-        assert any(p.pipeline_depth > 0 for p in plans)
-        assert any(p.accept_coalescing for p in plans)
+        assert len({p.pipeline_depth for p in plans}) > 1
         # ...and the defaults still appear, so both paths stay fuzzed.
         assert any(not p.batching for p in plans)
 
@@ -645,12 +627,16 @@ class TestFuzzKnobs:
         from repro.check.repro_file import plan_of
 
         data = plan_to_dict(sample_plan(7, 3))
-        for legacy_missing in ("batching", "pipeline_depth", "accept_coalescing"):
+        for legacy_missing in ("batching", "pipeline_depth"):
             data.pop(legacy_missing)
         plan = plan_from_dict(data)
         assert plan.batching is False
-        assert plan.pipeline_depth == 0
-        assert plan.accept_coalescing is False
+        assert plan.pipeline_depth == PaxosConfig().pipeline_depth
+        # A file written while Accepts could be coalesced, or the pipe
+        # unbounded, loads onto the shipped write path.
+        data.update(accept_coalescing=True, pipeline_depth=0)
+        assert plan_from_dict(data) == plan
+        assert "accept_coalescing" not in plan_to_dict(plan_from_dict(data))
 
         # A file written while the disk had a group-commit window carries
         # its setting: it loads, replays and is saved again without it.
@@ -671,8 +657,7 @@ class TestFuzzKnobs:
         from repro.check import run_plan, sample_plan
 
         plan = next(
-            replace(sample_plan(7, i), batching=True, pipeline_depth=4,
-                    accept_coalescing=True)
+            replace(sample_plan(7, i), batching=True, pipeline_depth=4)
             for i in range(20)
             if any(e.kind.startswith("disk_") for e in sample_plan(7, i).schedule)
         )
@@ -691,7 +676,6 @@ class TestFuzzKnobs:
                 sample_plan(42, i),
                 batching=True,
                 pipeline_depth=4,
-                accept_coalescing=True,
             )
             outcome = run_plan(plan, bug="forgotten-promise")
             if outcome.failed and outcome.failure.name == "acceptor-durability":
