@@ -20,13 +20,17 @@ PYTHONPATH=src python -m repro perf --json BENCH_SIM.json --fail-below 0.6 "$@"
 # 10,000-record log must cost under twice what it does on a 100-record one,
 # and so must a follower's read conflict check on a log retaining 400
 # applied entries against one retaining 10 (the window is the same two slots).
-# And two exact counts, the same on every host: the leader votes locally,
+# And exact counts, the same on every host: the leader votes locally,
 # so a chosen slot costs 2*(n-1) Accept-family messages, 4 at n=3, 8 at n=5;
 # and a window of client ops with the collector off leaves it nothing to
-# find, because a finished op is freed by reference count.
+# find, because a finished op is freed by reference count.  An idle node
+# on node_footprint's fixed ring holds no more collector-tracked objects
+# than the ceiling tests/test_gc_pacing.py holds it to.
 PYTHONPATH=src python - <<'EOF'
 import json
 import sys
+
+from repro.perf.microbench import NODE_FOOTPRINT_CEILING
 
 with open("BENCH_SIM.json") as f:
     report = json.load(f)
@@ -34,7 +38,7 @@ by_name = {b["name"]: b for b in report["benchmarks"]}
 failures = []
 for name in (
     "ring_lookup_10k", "pooled_send_deliver", "wal_fsync_per_ack", "follower_read_window",
-    "accept_msgs_per_slot", "cyclic_garbage_per_op",
+    "accept_msgs_per_slot", "cyclic_garbage_per_op", "node_footprint",
 ):
     if name not in by_name:
         failures.append(f"{name} missing from BENCH_SIM.json")
@@ -63,6 +67,10 @@ if "cyclic_garbage_per_op" in by_name:
     got = by_name["cyclic_garbage_per_op"].get("cyclic_garbage_per_op")
     if got != 0:
         failures.append(f"cyclic_garbage_per_op {got} != 0")
+if "node_footprint" in by_name:
+    got = by_name["node_footprint"].get("tracked_objects_per_node", float("inf"))
+    if got > NODE_FOOTPRINT_CEILING:
+        failures.append(f"node_footprint tracked_objects_per_node {got} > {NODE_FOOTPRINT_CEILING}")
 for line in failures:
     print(f"check_perf: {line}", file=sys.stderr)
 sys.exit(1 if failures else 0)

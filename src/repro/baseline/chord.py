@@ -154,13 +154,6 @@ class ChordNode(Node):
         self._seed_provider: Callable[[], list[str]] | None = None
         self._rejoining = False
 
-        self.on(ClosestReq, self._on_closest)
-        self.on(StabilizeReq, self._on_stabilize)
-        self.on(NotifyMsg, self._on_notify)
-        self.on(PutReq, self._on_put)
-        self.on(GetReq, self._on_get)
-        self.on(ReplicaPush, self._on_replica_push)
-
     # ------------------------------------------------------------------
     # Ring arithmetic
     # ------------------------------------------------------------------
@@ -512,6 +505,15 @@ class ChordNode(Node):
             mine = self.store.get(key)
             if mine is None or (stamp, version) > (mine.stamp, mine.version):
                 self.store[key] = _Stored(value=value, stamp=stamp, version=version)
+
+    _HANDLERS = {
+        ClosestReq: _on_closest,
+        StabilizeReq: _on_stabilize,
+        NotifyMsg: _on_notify,
+        PutReq: _on_put,
+        GetReq: _on_get,
+        ReplicaPush: _on_replica_push,
+    }
 
 
 class _LookupFailed(Exception):

@@ -114,8 +114,6 @@ class PaxosHost(Node):
             storage=self.disk.storage_for("paxos") if self.disk is not None else None,
             reset_fn=self._reset,
         )
-        for msg_type in PAXOS_MESSAGE_TYPES:
-            self.on(msg_type, self._route)
 
     def _snapshot(self) -> list[tuple[int, Command]]:
         return list(self.applied)
@@ -140,6 +138,8 @@ class PaxosHost(Node):
 
     def propose(self, command: Command) -> Future:
         return self.replica.propose(command)
+
+    _HANDLERS = dict.fromkeys(PAXOS_MESSAGE_TYPES, _route)
 
 
 def build_cluster(

@@ -179,9 +179,30 @@ _NO_KEYS: frozenset = frozenset()
 # Chosen entries per CatchupReply; a lagging peer asks again for the rest.
 CATCHUP_BATCH = 200
 
+# An empty admission queue or backlog: a deque costs 760 bytes before
+# its first item, and most replicas never queue, so one is built only
+# when something waits.
+_IDLE: tuple = ()
+
 
 class PaxosReplica:
     """One member of a Multi-Paxos group."""
+
+    # Fifty attributes are past the key limit of CPython's shared
+    # instance dicts, so without slots every replica would carry a dict
+    # of its own (1,584 bytes on 3.11).
+    __slots__ = (
+        "replica_id", "members", "transport", "apply_fn", "snapshot_fn", "restore_fn", "config",
+        "_snapshot", "storage", "reset_fn", "_initial_members", "amnesiac", "_amnesia_target",
+        "tracer", "_election_span", "promised", "log", "applied_index", "leader_hint",
+        "last_leader_contact", "retired", "_last_catchup_request", "is_leader", "ballot",
+        "_max_round_seen", "_pending", "_proposal_futures", "_queue", "_next_slot",
+        "_barrier_slot", "_read_barrier_slot", "_lease_until", "_hb_acks", "_hb_sent",
+        "_hb_heard", "_hb_commit_index", "_hb_stretch", "member_last_ack", "_retry_delay",
+        "_batch_buffer", "_batch_flush_pending", "_batch_flush_timer", "write_keys_fn", "_grants",
+        "_fr_grant_until", "_fr_frontier", "_campaigning", "_campaign_promises",
+        "_campaign_from_slot", "_backlog",
+    )
 
     def __init__(
         self,
@@ -248,7 +269,7 @@ class PaxosReplica:
         self._max_round_seen = 0
         self._pending: dict[int, _PendingSlot] = {}
         self._proposal_futures: dict[int, Future] = {}
-        self._queue: deque[tuple[Command, Future]] = deque()
+        self._queue: deque[tuple[Command, Future]] | tuple = _IDLE
         self._next_slot = 0
         self._barrier_slot: int | None = None
         self._read_barrier_slot: int | None = None
@@ -287,7 +308,7 @@ class PaxosReplica:
         self._campaigning = False
         self._campaign_promises: dict[str, Promise] = {}
         self._campaign_from_slot = 0
-        self._backlog: deque[tuple[int, Command]] = deque()
+        self._backlog: deque[tuple[int, Command]] | tuple = _IDLE
 
         self._start_timers(initial_leader == replica_id)
 
@@ -509,14 +530,14 @@ class PaxosReplica:
             self._hb_stretch.cancel()
             self._hb_stretch = None
         self._retry_delay = None
-        self._backlog.clear()
+        self._backlog = _IDLE
         for future in self._proposal_futures.values():
             future.set_exception(fail_with)
         self._proposal_futures.clear()
         self._pending.clear()
         for _command, future in self._queue:
             future.set_exception(fail_with)
-        self._queue.clear()
+        self._queue = _IDLE
         for _command, future in self._batch_buffer:
             future.set_exception(fail_with)
         self._batch_buffer.clear()
@@ -570,7 +591,7 @@ class PaxosReplica:
         # Non-batchable commands must not overtake buffered ones.
         self._flush_batch()
         if self._barrier_slot is not None or self._backlog or self._pipe_full():
-            self._queue.append((command, future))
+            self._enqueue(command, future)
             return future
         self._issue(command, future)
         return future
@@ -612,7 +633,7 @@ class PaxosReplica:
 
             future.add_callback(distribute)
         if self._barrier_slot is not None or self._backlog or self._pipe_full():
-            self._queue.append((command, future))
+            self._enqueue(command, future)
         else:
             self._issue(command, future)
 
@@ -938,7 +959,7 @@ class PaxosReplica:
                 continue
             command = best[slot][1] if slot in best else Command.noop()
             backlog.append((slot, command))
-        self._backlog = deque(backlog)
+        self._backlog = deque(backlog) if backlog else _IDLE
         self._next_slot = max_slot + 1
         self._drain_backlog()
         if self._barrier_slot is None and not self._backlog:
@@ -970,6 +991,11 @@ class PaxosReplica:
             if command.kind == CMD_CONFIG:
                 self._barrier_slot = slot
             self._send_accepts(slot, command)
+
+    def _enqueue(self, command: Command, future: Future) -> None:
+        if self._queue is _IDLE:
+            self._queue = deque()
+        self._queue.append((command, future))
 
     def _pipe_full(self) -> bool:
         """Flow control: is the in-flight unchosen-slot window exhausted?"""

@@ -159,19 +159,6 @@ class ScatterNode(Node):
         self.stats_txns: dict[str, int] = {}
         self._svc_free_at = 0.0  # CPU queue head for the service model
 
-        self.on(GroupMsg, self._on_group_msg)
-        self.on(ClientOpReq, self._on_client_op)
-        self.on(JoinLookupReq, self._on_join_lookup)
-        self.on(GroupJoinReq, self._on_group_join)
-        self.on(GroupLeaveReq, self._on_group_leave)
-        self.on(WelcomeMsg, self._on_welcome)
-        self.on(TxnPrepareReq, self._on_txn_prepare)
-        self.on(TxnCommitReq, self._on_txn_commit)
-        self.on(TxnAbortReq, self._on_txn_abort)
-        self.on(TxnStatusReq, self._on_txn_status)
-        self.on(GroupNeighborsReq, self._on_group_neighbors)
-        self.on(GossipReq, self._on_gossip)
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -976,6 +963,21 @@ class ScatterNode(Node):
 
     def _count_txn(self, kind: str) -> None:
         self.stats_txns[kind] = self.stats_txns.get(kind, 0) + 1
+
+    _HANDLERS = {
+        GroupMsg: _on_group_msg,
+        ClientOpReq: _on_client_op,
+        JoinLookupReq: _on_join_lookup,
+        GroupJoinReq: _on_group_join,
+        GroupLeaveReq: _on_group_leave,
+        WelcomeMsg: _on_welcome,
+        TxnPrepareReq: _on_txn_prepare,
+        TxnCommitReq: _on_txn_commit,
+        TxnAbortReq: _on_txn_abort,
+        TxnStatusReq: _on_txn_status,
+        GroupNeighborsReq: _on_group_neighbors,
+        GossipReq: _on_gossip,
+    }
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import resource
 import time
 
 from repro.analysis.liveness import GroupQuorumWatch, LivenessWatchdog
@@ -1571,6 +1572,9 @@ def run_e21(quick: bool = True, seed: int = 21) -> ExperimentResult:
         "events_per_s_wall": round(total_events / total_wall, 1) if total_wall else 0.0,
         "total_sim_events": total_events,
         "wall_s": round(total_wall, 2),
+        # The process's high-water mark: E21's own when it runs alone
+        # (scripts/run_full_experiments.py E21).  Linux reports KiB.
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
     return result
 

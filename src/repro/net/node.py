@@ -26,10 +26,13 @@ class _Envelope:
 class Node:
     """Base class for every simulated process (replica, client, DHT node).
 
-    Subclasses register handlers per message type with :meth:`on`.  A
-    handler receives ``(src, msg)``.  For RPC requests the handler's
-    return value is the response; returning a :class:`Future` defers the
-    response until the future resolves; raising sends an error response.
+    A subclass declares its handlers in one class-level table,
+    ``_HANDLERS``, mapping a message type to a function called as
+    ``handler(node, src, msg)``; :meth:`on` adds an ad-hoc handler
+    ``handler(src, msg)`` to one instance.  For RPC requests the
+    handler's return value is the response; returning a :class:`Future`
+    defers the response until the future resolves; raising sends an
+    error response.
 
     Crash/restart is modelled with :meth:`crash` / :meth:`restart`: a
     crashed node loses all volatile state via the subclass hook
@@ -44,16 +47,26 @@ class Node:
         # Simulated durable disk (repro.storage.NodeDisk), attached by
         # subclasses that model durability; None = no storage model.
         self.disk = None
-        self._handlers: dict[type, Callable[[str, Any], Any]] = {}
         self._pending_rpcs: dict[int, Future] = {}
-        self._timers: list[EventHandle] = []
         net.register(node_id, self._on_network_message)
 
     # ------------------------------------------------------------------
     # Handler registration
     # ------------------------------------------------------------------
+    # Message type -> handler(node, src, msg), shared by every instance
+    # of the class: a node holds no per-instance handler table unless
+    # :meth:`on` gives it one.
+    _HANDLERS: dict[type, Callable[[Any, str, Any], Any]] = {}
+
     def on(self, msg_type: type, handler: Callable[[str, Any], Any]) -> None:
-        self._handlers[msg_type] = handler
+        """Handle ``msg_type`` on this instance with ``handler(src, msg)``.
+
+        The first call copies the class table into the instance, which
+        then shadows it; dispatch is the same single lookup either way.
+        """
+        if "_HANDLERS" not in self.__dict__:
+            self._HANDLERS = dict(type(self)._HANDLERS)
+        self._HANDLERS[msg_type] = lambda _node, src, msg: handler(src, msg)
 
     # ------------------------------------------------------------------
     # One-way messages
@@ -80,7 +93,7 @@ class Node:
         self._pending_rpcs[rpc_id] = future
         self.net.send(self.node_id, dst, _Envelope("req", rpc_id, msg))
         timer = self.sim.schedule(timeout, self._on_rpc_timeout, rpc_id, dst, msg)
-        future.add_callback(lambda _f: timer.cancel())
+        future.add_callback(timer.cancel)
         return future
 
     def _on_rpc_timeout(self, rpc_id: int, dst: str, msg: Any) -> None:
@@ -92,24 +105,17 @@ class Node:
     # Timers
     # ------------------------------------------------------------------
     def set_timer(self, delay: float, fn: Callable[..., None], *args: Any) -> EventHandle:
-        """Schedule a callback that is suppressed if the node crashes."""
+        """Schedule ``fn(*args)``, suppressed if the node is down when it fires.
 
-        def guarded(*inner: Any) -> None:
-            if self.alive:
-                fn(*inner)
+        The node keeps no record of the timer: :meth:`crash` finds its
+        live timers on the event heap, so a fired or cancelled timer is
+        freed as soon as its caller drops the handle.
+        """
+        return self.sim.schedule(delay, Node._fire_timer, self, fn, args)
 
-        handle = self.sim.schedule(delay, guarded, *args)
-        self._timers.append(handle)
-        if len(self._timers) > 32:
-            # Drop cancelled handles and ones already in the past (fired).
-            # Handles at exactly `now` may still be pending this tick, so
-            # they are kept until time advances.  A node has a handful of
-            # live timers; at the old bound of 256, fired handles and
-            # their heap entries were half of all collector-tracked
-            # objects on a 2,000-node ring (182,073 of them, 34 MB).
-            now = self.sim.now
-            self._timers = [t for t in self._timers if not t.cancelled and t.time >= now]
-        return handle
+    def _fire_timer(self, fn: Callable[..., None], args: tuple[Any, ...]) -> None:
+        if self.alive:
+            fn(*args)
 
     # ------------------------------------------------------------------
     # Crash / restart
@@ -127,9 +133,7 @@ class Node:
         self.net.set_down(self.node_id)
         if self.disk is not None:
             self.disk.power_failure()
-        for timer in self._timers:
-            timer.cancel()
-        self._timers.clear()
+        self.sim.cancel_calls(Node._fire_timer, self)
         # Fail callers waiting on in-flight RPCs instead of leaving their
         # futures pending forever (the response would be dropped anyway).
         pending = list(self._pending_rpcs.values())
@@ -174,10 +178,10 @@ class Node:
                 future.set_exception(RpcError(str(envelope.body)))
 
     def _dispatch(self, src: str, msg: Any) -> Any:
-        handler = self._handlers.get(type(msg))
+        handler = self._HANDLERS.get(type(msg))
         if handler is None:
             raise RpcError(f"{self.node_id}: no handler for {type(msg).__name__}")
-        return handler(src, msg)
+        return handler(self, src, msg)
 
     def _handle_request(self, src: str, envelope: _Envelope) -> None:
         rpc_id = envelope.rpc_id

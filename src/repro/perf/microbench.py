@@ -17,6 +17,7 @@ import gc
 import json
 import platform
 import time
+import tracemalloc
 from typing import Any, Callable
 
 from repro.sim.latency import ConstantLatency, LogNormalLatency
@@ -206,6 +207,69 @@ def _bench_cyclic_garbage_per_op(duration: float) -> Callable[[], int]:
             "unreachable_objects": unreachable,
         }
         return ops
+
+    return run
+
+
+# Ceiling on node_footprint's tracked_objects_per_node, held by
+# scripts/check_perf.sh and tests/test_gc_pacing.py: 46.0 measured on
+# CPython 3.11, plus 10%.
+NODE_FOOTPRINT_CEILING = 50.6
+
+
+def node_footprint(n_nodes: int = 300, duration: float = 3.0) -> tuple[Any, dict]:
+    """An idle ring after warm-up, and what each of its nodes holds.
+
+    ``n_nodes`` nodes in ``n_nodes // 3`` groups, no client, run for
+    ``duration`` simulated seconds (the builder's warm-up: elections,
+    read barriers, heartbeats, gossip and maintenance).  Counted after
+    a full collection, per node: the collector-tracked objects and the
+    bytes tracemalloc traces that the deployment added.  A throwaway
+    build first pulls in every lazy import and cache, so the object
+    count is the deployment's alone, the same on every run; the byte
+    count moves by a fraction of a percent with what the process ran
+    before.  Returns the deployment (still alive, for a caller to
+    inspect) and the counts.
+    """
+    from repro.harness.builders import DeploymentParams, build_scatter_deployment
+
+    def build(nodes: int, warmup: float) -> Any:
+        return build_scatter_deployment(
+            DeploymentParams(n_nodes=nodes, n_groups=nodes // 3, n_clients=0, warmup=warmup)
+        )
+
+    build(3, 0.5)
+    gc.collect()
+    tracked = len(gc.get_objects())
+    tracemalloc.start()
+    try:
+        deployment = build(n_nodes, duration)
+        gc.collect()
+        traced = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    tracked = len(gc.get_objects()) - tracked
+    return deployment, {
+        "tracked_objects_per_node": round(tracked / n_nodes, 1),
+        "traced_bytes_per_node": round(traced / n_nodes),
+    }
+
+
+def _bench_node_footprint() -> Callable[[], int]:
+    """What an idle node holds, as counts (see :func:`node_footprint`).
+
+    ``scripts/check_perf.sh`` holds ``tracked_objects_per_node`` at or
+    under ``NODE_FOOTPRINT_CEILING``, as ``tests/test_gc_pacing.py``
+    does.  The value is nodes built per host second, tracemalloc on.
+    """
+
+    def run() -> int:
+        t0 = time.perf_counter()
+        deployment, counts = node_footprint()
+        n_nodes = len(deployment.system.nodes)
+        run.self_timed = (n_nodes, time.perf_counter() - t0)  # type: ignore[attr-defined]
+        run.extra = counts  # type: ignore[attr-defined]
+        return n_nodes
 
     return run
 
@@ -535,6 +599,7 @@ def run_microbenchmarks(quick: bool = False, repeat: int = 3) -> dict:
         ("follower_read_window", "checks_per_s", _bench_follower_read_window(20_000)),
         ("accept_msgs_per_slot", "msgs_per_s", _bench_accept_msgs_per_slot(n_slots)),
         ("cyclic_garbage_per_op", "ops_per_s", _bench_cyclic_garbage_per_op(garbage_duration)),
+        ("node_footprint", "nodes_per_s", _bench_node_footprint()),
     ]
 
     benchmarks = []

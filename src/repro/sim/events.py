@@ -13,7 +13,9 @@ the hottest path in the whole simulator (see ``repro.perf``).
 Cancellation is lazy: cancelling (or popping) an entry nulls its ``fn``
 slot in place and the heap skips such entries when they surface.  A
 popped entry is indistinguishable from a cancelled one, which makes
-cancel-after-fire a natural no-op.
+cancel-after-fire a natural no-op.  Cancelling also empties the
+``args`` slot, so a cancelled event pins nothing while it waits to
+surface.
 
 Scheduling comes in two flavours:
 
@@ -57,11 +59,16 @@ class EventHandle:
     def cancelled(self) -> bool:
         return self._entry[FN] is None
 
-    def cancel(self) -> None:
-        """Prevent the event from firing.  Idempotent; no-op after fire."""
+    def cancel(self, _future: Any = None) -> None:
+        """Prevent the event from firing.  Idempotent; no-op after fire.
+
+        The ignored argument lets a bound ``cancel`` be a
+        :class:`~repro.net.futures.Future` callback.
+        """
         entry = self._entry
         if entry[FN] is not None:
             entry[FN] = None
+            entry[ARGS] = ()
             self._queue._live -= 1
 
 

@@ -183,6 +183,23 @@ class Simulator:
         queue._seq += 1
         queue._live += 1
 
+    def cancel_calls(self, fn: Callable[..., None], owner: Any) -> None:
+        """Cancel every pending ``fn(owner, ...)`` event.
+
+        One pass over the heap: for an owner with few events among many
+        that is cheaper to do once, when needed, than to keep a handle
+        per event on the owner.  Each entry is cancelled the way
+        :meth:`EventHandle.cancel` does it.
+        """
+        queue = self._queue
+        cancelled = 0
+        for entry in queue._heap:
+            if entry[2] is fn and entry[3][0] is owner:
+                entry[2] = None
+                entry[3] = ()
+                cancelled += 1
+        queue._live -= cancelled
+
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------

@@ -51,8 +51,6 @@ class ClassicParticipant(Node):
         self.lock_acquired_at = -1.0
         self.committed: list[str] = []
         self.aborted: list[str] = []
-        self.on(PrepareReq, self._on_prepare)
-        self.on(DecisionMsg, self._on_decision)
 
     @property
     def blocked_for(self) -> float:
@@ -73,6 +71,8 @@ class ClassicParticipant(Node):
             return
         (self.committed if msg.commit else self.aborted).append(msg.txn_id)
         self.locked_txn = None
+
+    _HANDLERS = {PrepareReq: _on_prepare, DecisionMsg: _on_decision}
 
 
 class ClassicCoordinator(Node):

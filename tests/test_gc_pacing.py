@@ -1,20 +1,24 @@
 """What the cyclic collector is left to do, guarded by counts.
 
-Three properties, none of them a timing: a window of client ops leaves
-no unreachable object behind; what is cyclic by nature (a discarded
-deployment, dead nodes and all) is gone once the next deployment is
-built; and the collector settings a simulation runs under never leak
-out to its caller.
+Four properties, none of them a timing: a window of client ops leaves
+no unreachable object behind; an idle node holds a bounded number of
+collector-tracked objects, none of them a spent timer; what is cyclic
+by nature (a discarded deployment, dead nodes and all) is gone once
+the next deployment is built; and the collector settings a simulation
+runs under never leak out to its caller.
 """
 
 import gc
+import sys
+import types
 import weakref
 
 import pytest
 
 from repro.harness.builders import DeploymentParams, build_scatter_deployment
-from repro.perf.microbench import cyclic_garbage
+from repro.perf.microbench import NODE_FOOTPRINT_CEILING, cyclic_garbage, node_footprint
 from repro.sim import Simulator, paced_gc
+from repro.sim.events import EventHandle
 
 SMALL = DeploymentParams(n_nodes=9, n_groups=3, n_clients=1)
 
@@ -33,6 +37,42 @@ def test_client_ops_leave_no_cyclic_garbage():
     unreachable, ops = cyclic_garbage(5.0)
     assert ops > 2000
     assert unreachable == 0
+
+
+def _reachable(roots):
+    """Every object reachable from ``roots``, not following classes,
+    modules or module globals (they lead out into the interpreter)."""
+    outside = {id(module.__dict__) for module in list(sys.modules.values())}
+    seen = {id(root) for root in roots}
+    todo = list(roots)
+    while todo:
+        obj = todo.pop()
+        yield obj
+        for ref in gc.get_referents(obj):
+            if id(ref) in seen or id(ref) in outside:
+                continue
+            if isinstance(ref, (type, types.ModuleType)):
+                continue
+            seen.add(id(ref))
+            todo.append(ref)
+
+
+def test_idle_node_footprint_is_a_count():
+    """An idle node holds at most ``NODE_FOOTPRINT_CEILING`` tracked objects.
+
+    The ring is ``node_footprint``'s: 300 nodes in 100 groups, no
+    client, after 3 simulated seconds.  Measured at 46.0 collector-
+    tracked objects per node on CPython 3.11 (89.0 while every node
+    kept its fired timer handles, a table of bound handlers and two
+    empty deques per replica), so the ceiling is 46.0 plus 10%, 50.6.
+    Whatever timer handle a node still reaches is one yet to fire.
+    """
+    deployment, counts = node_footprint(300, 3.0)
+    assert counts["tracked_objects_per_node"] <= NODE_FOOTPRINT_CEILING
+    nodes = list(deployment.system.nodes.values())
+    handles = [obj for obj in _reachable(nodes) if type(obj) is EventHandle]
+    assert handles  # heartbeat stretches, at least
+    assert [handle for handle in handles if handle.cancelled] == []
 
 
 def test_discarded_deployment_is_reclaimed_by_the_next_build(collector_off):

@@ -233,6 +233,10 @@ class TestSpawn:
                 gc.enable()
 
 
+class _Token:
+    """A weak-referenceable timer argument."""
+
+
 class EchoNode(Node):
     def __init__(self, node_id, sim, net):
         super().__init__(node_id, sim, net)
@@ -376,21 +380,63 @@ class TestNodeRpc:
         assert not a._pending_rpcs
 
     def test_fired_timers_are_pruned(self):
+        """Once its timers fire, the node holds nothing of them: no
+        handle, no heap entry, no callback argument."""
         sim, net, a, b = self._cluster()
-        for i in range(300):
-            a.set_timer(0.001 * (i + 1), lambda: None)
+        tokens = [_Token() for _ in range(300)]
+        refs = [weakref.ref(token) for token in tokens]
+        for i, token in enumerate(tokens):
+            a.set_timer(0.001 * (i + 1), lambda _token: None, token)
+        del tokens, token
         sim.run_for(1.0)
-        # All 300 have fired; the next set_timer crosses the prune
-        # threshold and must drop them rather than keep them forever.
-        assert len(a._timers) > 256
-        a.set_timer(1.0, lambda: None)
-        assert len(a._timers) == 1
+        assert [ref() for ref in refs] == [None] * 300
 
     def test_fired_timers_do_not_pile_up(self):
-        """A node re-arming one timer (a heartbeat) keeps a handful of
-        handles, not hundreds of fired ones for the collector to walk."""
+        """A node re-arming one timer (a heartbeat) keeps nothing of the
+        rounds that already fired."""
         sim, net, a, b = self._cluster()
         for _ in range(200):
-            a.set_timer(0.001, lambda: None)
+            token = _Token()
+            ref = weakref.ref(token)
+            a.set_timer(0.001, lambda _token: None, token)
+            del token
             sim.run_for(0.002)
-            assert len(a._timers) <= 33
+            assert ref() is None
+
+    def test_crash_cancels_exactly_the_crashed_nodes_timers(self):
+        sim, net, a, b = self._cluster()
+        fired = []
+        for i in range(5):
+            a.set_timer(1.0 + i, fired.append, ("a", i))
+            b.set_timer(1.0 + i, fired.append, ("b", i))
+        early = a.set_timer(0.5, fired.append, ("a", "cancelled"))
+        early.cancel()
+        before = sim.pending_events
+        a.crash()
+        assert sim.pending_events == before - 5
+        a.restart()
+        a.set_timer(10.0, fired.append, ("a", "after restart"))
+        sim.run()
+        assert fired == [("b", i) for i in range(5)] + [("a", "after restart")]
+        assert early.cancelled
+
+    def test_cancelled_timer_releases_its_arguments(self):
+        sim, net, a, b = self._cluster()
+        token = _Token()
+        ref = weakref.ref(token)
+        handle = a.set_timer(5.0, lambda _token: None, token)
+        del token
+        handle.cancel()
+        assert ref() is None
+        assert sim.pending_events == 0
+
+    def test_answered_rpc_releases_its_request_before_the_deadline(self):
+        sim, net, a, b = self._cluster()
+        b.set_timer(10.0, lambda: None)  # keeps the cancelled timeout off the heap's top
+        msg = Ping("hi")
+        ref = weakref.ref(msg)
+        f = a.request("b", msg, timeout=30.0)
+        del msg
+        sim.run_for(0.1)
+        assert f.result() == "echo:hi"
+        assert ref() is None

@@ -4,6 +4,7 @@ import pytest
 
 from repro.consensus import Command, NotLeader, PaxosConfig
 from repro.consensus.harness import PaxosHost, build_cluster, current_leader, record_sends
+from repro.consensus.replica import PaxosReplica
 from repro.harness.builders import EXPERIMENT_PAXOS
 from repro.sim import ConstantLatency, LogNormalLatency, SimNetwork, Simulator
 
@@ -374,7 +375,7 @@ class TestLeaderVotesLocally:
         assert f.result() == "without-n0"
         assert "without-n0" not in committed_payloads(leader)
 
-    def test_candidate_whose_own_acceptor_promised_higher_does_not_take_office(self):
+    def test_candidate_whose_own_acceptor_promised_higher_does_not_take_office(self, monkeypatch):
         # n1 campaigns, promises n2's higher Prepare mid-campaign, then
         # collects a majority for its own ballot.  Its acceptor can no
         # longer vote for what it would propose (and no self-addressed
@@ -391,8 +392,14 @@ class TestLeaderVotesLocally:
         n2._start_campaign()  # has not seen n1's Prepare: same round, higher id
         assert n2.ballot > n1.ballot
         took_office = []
-        become = n1._become_leader
-        n1._become_leader = lambda: (become(), took_office.append(n1.is_leader))
+        become = PaxosReplica._become_leader
+
+        def watched(replica):
+            become(replica)
+            if replica is n1:
+                took_office.append(replica.is_leader)
+
+        monkeypatch.setattr(PaxosReplica, "_become_leader", watched)
         sim.run_for(0.02)
         assert n1.promised == n2.ballot
         assert took_office == [False]  # had its majority, stood aside

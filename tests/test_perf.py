@@ -28,6 +28,7 @@ BENCH_NAMES = {
     "follower_read_window",
     "accept_msgs_per_slot",
     "cyclic_garbage_per_op",
+    "node_footprint",
 }
 
 
@@ -46,7 +47,7 @@ class TestMicrobenchmarks:
             assert bench["units_completed"] > 0
             assert bench["metric"] in (
                 "events_per_s", "msgs_per_s", "lookups_per_s", "pairs_per_s", "ops_per_s",
-                "checks_per_s", "rounds_per_s",
+                "checks_per_s", "rounds_per_s", "nodes_per_s",
             )
 
     def test_e2e_reports_ops(self, quick_report):
