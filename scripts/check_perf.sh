@@ -25,12 +25,13 @@ PYTHONPATH=src python -m repro perf --json BENCH_SIM.json --fail-below 0.6 "$@"
 # and a window of client ops with the collector off leaves it nothing to
 # find, because a finished op is freed by reference count.  An idle node
 # on node_footprint's fixed ring holds no more collector-tracked objects
-# than the ceiling tests/test_gc_pacing.py holds it to.
+# than the ceiling tests/test_gc_pacing.py holds it to, and neither does a
+# finished client op on op_footprint's ring, at either read fraction.
 PYTHONPATH=src python - <<'EOF'
 import json
 import sys
 
-from repro.perf.microbench import NODE_FOOTPRINT_CEILING
+from repro.perf.microbench import NODE_FOOTPRINT_CEILING, OP_FOOTPRINT_CEILING
 
 with open("BENCH_SIM.json") as f:
     report = json.load(f)
@@ -38,7 +39,7 @@ by_name = {b["name"]: b for b in report["benchmarks"]}
 failures = []
 for name in (
     "ring_lookup_10k", "pooled_send_deliver", "wal_fsync_per_ack", "follower_read_window",
-    "accept_msgs_per_slot", "cyclic_garbage_per_op", "node_footprint",
+    "accept_msgs_per_slot", "cyclic_garbage_per_op", "node_footprint", "op_footprint",
 ):
     if name not in by_name:
         failures.append(f"{name} missing from BENCH_SIM.json")
@@ -71,6 +72,11 @@ if "node_footprint" in by_name:
     got = by_name["node_footprint"].get("tracked_objects_per_node", float("inf"))
     if got > NODE_FOOTPRINT_CEILING:
         failures.append(f"node_footprint tracked_objects_per_node {got} > {NODE_FOOTPRINT_CEILING}")
+if "op_footprint" in by_name:
+    for key in ("tracked_objects_per_op_r50", "tracked_objects_per_op_r10"):
+        got = by_name["op_footprint"].get(key, float("inf"))
+        if got > OP_FOOTPRINT_CEILING:
+            failures.append(f"op_footprint {key} {got} > {OP_FOOTPRINT_CEILING}")
 for line in failures:
     print(f"check_perf: {line}", file=sys.stderr)
 sys.exit(1 if failures else 0)

@@ -29,7 +29,7 @@ class ConfigChange:
             raise ValueError(f"bad config action: {self.action}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Command:
     """A log entry value.
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+from array import array
 from collections import Counter
 from typing import Any, Protocol
 
@@ -26,6 +27,11 @@ from repro.txn.spec import (
 
 
 _NO_KEYS: frozenset = frozenset()
+
+# Refusals of a storage op: immutable, so every refused op shares one.
+_MOVED = KvResult(ok=False, error="moved")
+_BUSY = KvResult(ok=False, error="busy")
+_WRONG_GROUP = KvResult(ok=False, error="wrong_group")
 
 
 class GroupStatus(enum.Enum):
@@ -95,7 +101,8 @@ class GroupReplica:
         self.completed_txns: set[str] = set()
         self.epoch = 0  # bumped by config changes and repartitions
         self.load = Counter()  # per-key op counts since the last policy window
-        self.commit_latencies: list[float] = []
+        # Unboxed doubles: the newest 2,048 to 4,096 samples.
+        self.commit_latencies = array("d")
         # Applied 2PC outcomes in apply order, for invariant checkers
         # (repro.check): each entry is (txn_id, "committed"|"aborted").
         # Dedup'd applies ("dup"/"ignored") are never recorded, so a
@@ -168,11 +175,11 @@ class GroupReplica:
         :class:`Future` of one.
         """
         if self.status is GroupStatus.RETIRED:
-            return KvResult(ok=False, error="moved")
+            return _MOVED
         if self.status is GroupStatus.FROZEN:
-            return KvResult(ok=False, error="busy")
+            return _BUSY
         if not self.range.contains(op.key):
-            return KvResult(ok=False, error="wrong_group")
+            return _WRONG_GROUP
         self.load[op.key] += 1
         tracer = self.tracer
         if tracer is not None:
@@ -346,9 +353,9 @@ class GroupReplica:
 
     def _apply_storage(self, command: Command) -> KvResult:
         if self.status is GroupStatus.RETIRED:
-            return KvResult(ok=False, error="moved")
+            return _MOVED
         if self.status is GroupStatus.FROZEN:
-            return KvResult(ok=False, error="busy")
+            return _BUSY
         return self.store.apply(command.payload, dedup=command.dedup)
 
     # -------------------------- prepare ------------------------------

@@ -274,6 +274,86 @@ def _bench_node_footprint() -> Callable[[], int]:
     return run
 
 
+# Ceiling on op_footprint's tracked_objects_per_op at either read
+# fraction, held by scripts/check_perf.sh and tests/test_gc_pacing.py:
+# 2.185 (read fraction 0.5; 1.926 at 0.1) measured on CPython 3.11,
+# plus 10%.
+OP_FOOTPRINT_CEILING = 2.40
+OP_FOOTPRINT_READ_FRACTIONS = (0.5, 0.1)
+
+
+def op_footprint(read_fraction: float, duration: float = 20.0) -> tuple[Any, dict]:
+    """What a window of finished client ops leaves behind, per op.
+
+    Thirty nodes in ten groups (the builder's default ring) under eight
+    closed-loop clients over 400 keys: 1 simulated second of load
+    warms the clients' caches, then a ``duration`` window runs under
+    tracemalloc.  Counted after a full collection, per op completed in
+    the window: the collector-tracked objects the window added (its
+    ``OpRecord`` objects, the results they hold, uncompacted log
+    entries and whatever else the ops kept), an exact count, the same
+    on every run and in any process; and the bytes tracemalloc traces
+    that it added (informational: allocator rounding and dict resizes
+    move it).
+    Returns the deployment (its clients hold the records) and the
+    counts, with ``ops``, the window's op count.
+    """
+    from repro.harness.builders import DeploymentParams, build_scatter_deployment
+    from repro.workloads import UniformKeys
+    from repro.workloads.driver import ClosedLoopWorkload
+
+    deployment = build_scatter_deployment(DeploymentParams(n_clients=8))
+    workload = ClosedLoopWorkload(
+        deployment.sim, deployment.clients, UniformKeys(400), read_fraction=read_fraction
+    )
+    workload.start()
+    deployment.sim.run_for(1.0)
+    before = len(workload.all_records())
+    gc.collect()
+    tracked = len(gc.get_objects())
+    tracemalloc.start()
+    try:
+        deployment.sim.run_for(duration)
+        ops = len(workload.all_records()) - before
+        gc.collect()
+        traced = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    tracked = len(gc.get_objects()) - tracked
+    workload.stop()
+    return deployment, {
+        "ops": ops,
+        "tracked_objects_per_op": round(tracked / ops, 3),
+        "traced_bytes_per_op": round(traced / ops),
+    }
+
+
+def _bench_op_footprint() -> Callable[[], int]:
+    """What a finished op keeps, as counts (see :func:`op_footprint`).
+
+    One entry per read fraction in ``OP_FOOTPRINT_READ_FRACTIONS``,
+    suffixed ``_r50`` and ``_r10``; ``scripts/check_perf.sh`` holds
+    each ``tracked_objects_per_op`` at or under ``OP_FOOTPRINT_CEILING``,
+    as ``tests/test_gc_pacing.py`` does.  The value is ops per host
+    second, tracemalloc on.
+    """
+
+    def run() -> int:
+        t0 = time.perf_counter()
+        extra: dict = {}
+        total = 0
+        for fraction in OP_FOOTPRINT_READ_FRACTIONS:
+            _, counts = op_footprint(fraction)
+            total += counts.pop("ops")
+            suffix = f"_r{round(fraction * 100)}"
+            extra.update({name + suffix: value for name, value in counts.items()})
+        run.self_timed = (total, time.perf_counter() - t0)  # type: ignore[attr-defined]
+        run.extra = extra  # type: ignore[attr-defined]
+        return total
+
+    return run
+
+
 def _bench_ring_lookup(n_lookups: int, n_groups: int) -> Callable[[], int]:
     """Routing-table lookups on a large ring: RingTable bisect vs the
     historical linear containment scan over the same infos.
@@ -600,6 +680,7 @@ def run_microbenchmarks(quick: bool = False, repeat: int = 3) -> dict:
         ("accept_msgs_per_slot", "msgs_per_s", _bench_accept_msgs_per_slot(n_slots)),
         ("cyclic_garbage_per_op", "ops_per_s", _bench_cyclic_garbage_per_op(garbage_duration)),
         ("node_footprint", "nodes_per_s", _bench_node_footprint()),
+        ("op_footprint", "ops_per_s", _bench_op_footprint()),
     ]
 
     benchmarks = []

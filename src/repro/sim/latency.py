@@ -14,6 +14,15 @@ import math
 import random
 from abc import ABC, abstractmethod
 
+# random.Random.lognormvariate(0.0, sigma) is exp(normalvariate(0.0, sigma)),
+# a Kinderman-Monahan ratio-of-uniforms loop.  The two sample() methods
+# below run that loop inline, step for step (same draws, same floats), to
+# save two Python frames per message; tests/test_sim_network.py holds the
+# two to identical output.
+_NV_MAGICCONST = 4 * math.exp(-0.5) / math.sqrt(2.0)
+_exp = math.exp
+_log = math.log
+
 
 class LatencyModel(ABC):
     """One-way message latency between two named endpoints."""
@@ -73,7 +82,14 @@ class LogNormalLatency(LatencyModel):
         self.sigma = sigma
 
     def sample(self, src: str, dst: str, rng: random.Random) -> float:
-        return self.base * rng.lognormvariate(0.0, self.sigma)
+        # base * rng.lognormvariate(0.0, sigma), inlined (see _NV_MAGICCONST).
+        random = rng.random
+        while True:
+            u1 = random()
+            u2 = 1.0 - random()
+            z = _NV_MAGICCONST * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -_log(u2):
+                return self.base * _exp(z * self.sigma)
 
     def expected(self, src: str, dst: str) -> float:
         return self.base * math.exp(self.sigma**2 / 2)
@@ -133,7 +149,14 @@ class WanLatencyMatrix(LatencyModel):
         return self.floor + math.hypot(x2 - x1, y2 - y1)
 
     def sample(self, src: str, dst: str, rng: random.Random) -> float:
-        return self.base_latency(src, dst) * rng.lognormvariate(0.0, self.jitter_sigma)
+        # base * rng.lognormvariate(0.0, jitter_sigma), inlined (see _NV_MAGICCONST).
+        random = rng.random
+        while True:
+            u1 = random()
+            u2 = 1.0 - random()
+            z = _NV_MAGICCONST * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -_log(u2):
+                return self.base_latency(src, dst) * _exp(z * self.jitter_sigma)
 
     def expected(self, src: str, dst: str) -> float:
         return self.base_latency(src, dst) * math.exp(self.jitter_sigma**2 / 2)

@@ -5,6 +5,13 @@ by the overlay layer).  Values are opaque.  Every mutation bumps a
 per-key version; versions let the linearizability checker and the Chirp
 application reason about staleness cheaply.
 
+Every result the store hands out is immutable and shared: a miss is the
+one :data:`NOT_FOUND`, a read of an unchanged key is the same object
+each time (cached on the cell until the next write), and a write ack is
+the store's one ``KvResult(ok=True, version=v)`` for that version.  A
+finished op's record and every replica's session entry for it hold a
+reference, not a copy.
+
 The store also supports *range extraction* and *absorption*: a split
 transaction carves the state for one half of a group's range out of the
 store, and a merge transaction absorbs a neighbour's state.  Client
@@ -25,7 +32,7 @@ OP_CAS = "cas"
 _VALID_OPS = (OP_GET, OP_PUT, OP_DELETE, OP_CAS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KvOp:
     """One storage operation, as carried in a group's Paxos log."""
 
@@ -49,10 +56,23 @@ class KvResult:
     error: str | None = None
 
 
+# Every miss, from any store: a result is never mutated, so one will do.
+NOT_FOUND = KvResult(ok=False, error="not_found")
+
+
 @dataclass(slots=True)
 class _Cell:
     value: Any
     version: int
+    # The read result for (value, version), built on the first read and
+    # dropped by every write; never moved by extract/absorb.
+    read: KvResult | None = field(default=None, compare=False, repr=False)
+
+    def result(self) -> KvResult:
+        read = self.read
+        if read is None:
+            read = self.read = KvResult(ok=True, value=self.value, version=self.version)
+        return read
 
 
 @dataclass
@@ -78,6 +98,10 @@ class KvStore:
         # Exact-match (not a watermark) because one client may have many
         # operations in flight, arriving at this shard in any order.
         self._sessions: dict[str, dict[int, KvResult]] = {}
+        # version -> the ack for a put, delete or CAS that left (or
+        # found) the key at that version.  Per store, so what a run
+        # retains does not depend on what the process ran before.
+        self._acks: dict[int, KvResult] = {}
         self.ops_applied = 0
 
     # ------------------------------------------------------------------
@@ -103,39 +127,41 @@ class KvStore:
                 del session[min(session)]
         return result
 
+    def _ack(self, version: int) -> KvResult:
+        ack = self._acks.get(version)
+        if ack is None:
+            ack = self._acks[version] = KvResult(ok=True, version=version)
+        return ack
+
     def _execute(self, op: KvOp) -> KvResult:
         cell = self._cells.get(op.key)
         if op.op == OP_GET:
-            if cell is None:
-                return KvResult(ok=False, error="not_found")
-            return KvResult(ok=True, value=cell.value, version=cell.version)
+            return NOT_FOUND if cell is None else cell.result()
         if op.op == OP_PUT:
             if cell is None:
                 self._cells[op.key] = _Cell(value=op.value, version=1)
-                return KvResult(ok=True, version=1)
+                return self._ack(1)
             cell.value = op.value
             cell.version += 1
-            return KvResult(ok=True, version=cell.version)
+            cell.read = None
+            return self._ack(cell.version)
+        if cell is None:  # delete or cas of a missing key
+            return NOT_FOUND
         if op.op == OP_DELETE:
-            if cell is None:
-                return KvResult(ok=False, error="not_found")
             del self._cells[op.key]
-            return KvResult(ok=True, version=cell.version)
+            return self._ack(cell.version)
         # OP_CAS
-        if cell is None:
-            return KvResult(ok=False, error="not_found")
         if op.expected_version is not None and cell.version != op.expected_version:
             return KvResult(ok=False, value=cell.value, version=cell.version, error="conflict")
         cell.value = op.value
         cell.version += 1
-        return KvResult(ok=True, version=cell.version)
+        cell.read = None
+        return self._ack(cell.version)
 
     def get(self, key: int) -> KvResult:
         """Read-only lookup (used by lease reads; does not count as an op)."""
         cell = self._cells.get(key)
-        if cell is None:
-            return KvResult(ok=False, error="not_found")
-        return KvResult(ok=True, value=cell.value, version=cell.version)
+        return NOT_FOUND if cell is None else cell.result()
 
     # ------------------------------------------------------------------
     # Introspection

@@ -58,7 +58,7 @@ class ClosedLoopWorkload:
 
     def _client_loop(self, client: WorkloadClient):
         while self._running and client.alive:
-            key = self.keys.sample(self.rng)
+            key = self.keys.sample_ring_id(self.rng)
             if self.rng.random() < self.read_fraction:
                 future = client.get(key)
             else:

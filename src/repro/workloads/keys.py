@@ -6,6 +6,8 @@ import bisect
 import random
 from abc import ABC, abstractmethod
 
+from repro.dht.ring import hash_key
+
 
 class KeySpace(ABC):
     """A population of string keys with a sampling distribution."""
@@ -15,6 +17,8 @@ class KeySpace(ABC):
             raise ValueError("need at least one key")
         self.n_keys = n_keys
         self.prefix = prefix
+        # index -> hash_key(key(index)), filled as keys are first drawn.
+        self._ring_ids: dict[int, int] = {}
 
     def key(self, index: int) -> str:
         return f"{self.prefix}-{index}"
@@ -23,15 +27,31 @@ class KeySpace(ABC):
         return [self.key(i) for i in range(self.n_keys)]
 
     @abstractmethod
+    def sample_index(self, rng: random.Random) -> int:
+        """Draw a key's index according to the popularity distribution."""
+
     def sample(self, rng: random.Random) -> str:
         """Draw a key according to the popularity distribution."""
+        return self.key(self.sample_index(rng))
+
+    def sample_ring_id(self, rng: random.Random) -> int:
+        """Draw a key as :meth:`sample` does (same draws), hashed onto the ring.
+
+        Each key is hashed once per key space; a client passes the
+        ring id through unchanged.
+        """
+        index = self.sample_index(rng)
+        ring_id = self._ring_ids.get(index)
+        if ring_id is None:
+            ring_id = self._ring_ids[index] = hash_key(self.key(index))
+        return ring_id
 
 
 class UniformKeys(KeySpace):
     """Every key equally likely (the paper's microbenchmark workload)."""
 
-    def sample(self, rng: random.Random) -> str:
-        return self.key(rng.randrange(self.n_keys))
+    def sample_index(self, rng: random.Random) -> int:
+        return rng.randrange(self.n_keys)
 
 
 class ZipfKeys(KeySpace):
@@ -55,6 +75,6 @@ class ZipfKeys(KeySpace):
             self._cdf.append(acc)
         self._cdf[-1] = 1.0
 
-    def sample(self, rng: random.Random) -> str:
+    def sample_index(self, rng: random.Random) -> int:
         rank = bisect.bisect_left(self._cdf, rng.random())
-        return self.key(min(rank, self.n_keys - 1))
+        return min(rank, self.n_keys - 1)

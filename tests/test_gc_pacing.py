@@ -1,24 +1,39 @@
 """What the cyclic collector is left to do, guarded by counts.
 
-Four properties, none of them a timing: a window of client ops leaves
+Five properties, none of them a timing: a window of client ops leaves
 no unreachable object behind; an idle node holds a bounded number of
-collector-tracked objects, none of them a spent timer; what is cyclic
+collector-tracked objects, none of them a spent timer; so does a
+finished client op, whatever the process ran before; what is cyclic
 by nature (a discarded deployment, dead nodes and all) is gone once
 the next deployment is built; and the collector settings a simulation
 runs under never leak out to its caller.
 """
 
 import gc
+import hashlib
+import json
+import os
+import subprocess
 import sys
 import types
 import weakref
 
 import pytest
 
+import repro
 from repro.harness.builders import DeploymentParams, build_scatter_deployment
-from repro.perf.microbench import NODE_FOOTPRINT_CEILING, cyclic_garbage, node_footprint
+from repro.perf.microbench import (
+    NODE_FOOTPRINT_CEILING,
+    OP_FOOTPRINT_CEILING,
+    OP_FOOTPRINT_READ_FRACTIONS,
+    cyclic_garbage,
+    node_footprint,
+    op_footprint,
+)
 from repro.sim import Simulator, paced_gc
 from repro.sim.events import EventHandle
+from repro.workloads import UniformKeys
+from repro.workloads.driver import ClosedLoopWorkload
 
 SMALL = DeploymentParams(n_nodes=9, n_groups=3, n_clients=1)
 
@@ -73,6 +88,59 @@ def test_idle_node_footprint_is_a_count():
     handles = [obj for obj in _reachable(nodes) if type(obj) is EventHandle]
     assert handles  # heartbeat stretches, at least
     assert [handle for handle in handles if handle.cancelled] == []
+
+
+@pytest.mark.parametrize("read_fraction", OP_FOOTPRINT_READ_FRACTIONS)
+def test_finished_op_footprint_is_a_count(read_fraction):
+    """A finished op holds at most ``OP_FOOTPRINT_CEILING`` tracked objects.
+
+    The ring is ``op_footprint``'s: 30 nodes in 10 groups, 8 clients,
+    a 20 simulated-second window.  Measured at 2.185 collector-tracked
+    objects per op at read fraction 0.5 and 1.926 at 0.1 on CPython
+    3.11 (3.887 and 4.536 while every get, miss and write ack was a
+    fresh result), so the ceiling is 2.185 plus 10%, 2.40.  What is
+    left is the op's ``OpRecord`` and its share of the uncompacted log.
+    """
+    _, counts = op_footprint(read_fraction)
+    assert counts["ops"] > 10_000
+    assert counts["tracked_objects_per_op"] <= OP_FOOTPRINT_CEILING
+
+
+def short_op_footprint() -> dict:
+    """A 5 simulated-second ``op_footprint`` window: its history
+    fingerprint and its exact per-op count."""
+    deployment, counts = op_footprint(0.1, 5.0)
+    history = [
+        (r.op, r.key, r.invoke_time, r.response_time, r.result)
+        for client in deployment.clients
+        for r in client.records
+    ]
+    summary = (deployment.sim.events_processed, deployment.net.stats.sent, history)
+    return {
+        "fingerprint": hashlib.sha256(repr(summary).encode()).hexdigest()[:16],
+        "tracked_objects_per_op": counts["tracked_objects_per_op"],
+    }
+
+
+def test_op_footprint_does_not_depend_on_what_ran_before():
+    """The same run in a fresh interpreter and after another deployment
+    (still alive, its stores full of acks) keeps the same history and
+    the same exact count: nothing an op keeps is shared across runs."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(repro.__file__)), os.path.dirname(__file__)]
+    )
+    alone = subprocess.run(
+        [sys.executable, "-c", "import json, test_gc_pacing as t; print(json.dumps(t.short_op_footprint()))"],
+        env=env, capture_output=True, text=True, check=True, timeout=600,
+    )
+    before = build_scatter_deployment(DeploymentParams(n_clients=8))
+    workload = ClosedLoopWorkload(before.sim, before.clients, UniformKeys(400), read_fraction=0.1)
+    workload.start()
+    before.sim.run_for(3.0)
+    after = short_op_footprint()
+    assert len(workload.all_records()) > 1000
+    assert after == json.loads(alone.stdout)
 
 
 def test_discarded_deployment_is_reclaimed_by_the_next_build(collector_off):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.store import KvOp, KvStore, OP_CAS, OP_DELETE, OP_GET, OP_PUT
-from repro.store.kvstore import SESSION_WINDOW
+from repro.store import KvOp, KvResult, KvStore, OP_CAS, OP_DELETE, OP_GET, OP_PUT
+from repro.store.kvstore import NOT_FOUND, SESSION_WINDOW, _Cell
 
 
 class TestBasicOps:
@@ -208,6 +208,165 @@ class TestSessionWindow:
         # The next apply trims the whole excess, smallest first.
         a.apply(KvOp(OP_PUT, 5, "new"), dedup=("c", 10_000))
         assert sorted(a._sessions["c"]) == (merged + [10_000])[-SESSION_WINDOW:]
+
+
+class TestSharedResults:
+    """Results are immutable, so the store hands out shared ones: a miss
+    is one constant, an unchanged key reads as the same object, and an
+    ack is the store's one result for its version."""
+
+    def test_repeated_gets_of_an_unchanged_key_are_one_object(self):
+        s = KvStore()
+        s.apply(KvOp(OP_PUT, 1, "a"))
+        first = s.get(1)
+        assert s.get(1) is first
+        assert s.apply(KvOp(OP_GET, 1)) is first
+        s.apply(KvOp(OP_PUT, 2, "b"))  # another key's write leaves it alone
+        assert s.get(1) is first
+
+    def test_every_miss_is_the_same_object(self):
+        s, other = KvStore(), KvStore()
+        s.apply(KvOp(OP_PUT, 1, "a"))
+        s.apply(KvOp(OP_DELETE, 1))
+        misses = [
+            s.get(404),
+            s.get(1),
+            s.apply(KvOp(OP_GET, 404)),
+            s.apply(KvOp(OP_DELETE, 404)),
+            s.apply(KvOp(OP_CAS, 404, "x", expected_version=1)),
+            other.get(7),
+        ]
+        assert all(miss is NOT_FOUND for miss in misses)
+        assert NOT_FOUND == KvResult(ok=False, error="not_found")
+
+    def test_acks_of_one_version_are_one_object(self):
+        s = KvStore()
+        put1 = s.apply(KvOp(OP_PUT, 1, "a"))
+        assert s.apply(KvOp(OP_PUT, 2, "b")) is put1
+        put2 = s.apply(KvOp(OP_PUT, 1, "c"))
+        assert put2 == KvResult(ok=True, version=2)
+        assert s.apply(KvOp(OP_CAS, 2, "d", expected_version=1)) is put2
+        assert s.apply(KvOp(OP_DELETE, 1)) is put2
+
+    @pytest.mark.parametrize("write", ["put", "delete", "cas", "absorb"])
+    def test_a_get_after_a_write_is_not_the_pre_write_result(self, write):
+        s = KvStore()
+        s.apply(KvOp(OP_PUT, 1, "a"))
+        before = s.get(1)
+        if write == "put":
+            s.apply(KvOp(OP_PUT, 1, "b"))
+            expected = KvResult(ok=True, value="b", version=2)
+        elif write == "delete":
+            s.apply(KvOp(OP_DELETE, 1))
+            expected = NOT_FOUND
+        elif write == "cas":
+            s.apply(KvOp(OP_CAS, 1, "b", expected_version=1))
+            expected = KvResult(ok=True, value="b", version=2)
+        else:
+            donor = KvStore()
+            for value in ("x", "y", "z"):
+                donor.apply(KvOp(OP_PUT, 1, value))
+            s.absorb(donor.extract([1]))
+            expected = KvResult(ok=True, value="z", version=3)
+        for after in (s.get(1), s.apply(KvOp(OP_GET, 1))):
+            assert after is not before
+            assert after == expected
+
+    def test_two_stores_share_no_ack_table(self):
+        a, b = KvStore(), KvStore()
+        ack_a = a.apply(KvOp(OP_PUT, 1, "x"))
+        ack_b = b.apply(KvOp(OP_PUT, 1, "x"))
+        assert ack_a == ack_b and ack_a is not ack_b
+        assert a._acks is not b._acks
+        assert b._acks == {1: ack_b}
+
+    def test_the_cached_read_never_travels(self):
+        s = KvStore()
+        s.apply(KvOp(OP_PUT, 1, "a"))
+        before = s.get(1)
+        for state in (s.snapshot(), s.extract_copy([1])):
+            assert state.cells == {1: ("a", 1)}
+            fresh = KvStore()
+            fresh.absorb(state)
+            assert fresh.get(1) == before and fresh.get(1) is not before
+        assert s._cells[1].read is before
+        assert s._cells[1] == _Cell(value="a", version=1)  # the cached read is not compared
+
+
+def _model_result(model: dict[int, tuple[int, int]], op: str, key: int, value, expected):
+    """The result a plain dict of key -> (value, version) gives ``op``,
+    and the dict after it."""
+    cell = model.get(key)
+    if op == OP_PUT:
+        version = 1 if cell is None else cell[1] + 1
+        return KvResult(ok=True, version=version), {**model, key: (value, version)}
+    if cell is None:
+        return KvResult(ok=False, error="not_found"), model
+    if op == OP_GET:
+        return KvResult(ok=True, value=cell[0], version=cell[1]), model
+    if op == OP_DELETE:
+        return KvResult(ok=True, version=cell[1]), {k: c for k, c in model.items() if k != key}
+    if expected is not None and expected != cell[1]:
+        return KvResult(ok=False, value=cell[0], version=cell[1], error="conflict"), model
+    return KvResult(ok=True, version=cell[1] + 1), {**model, key: (value, cell[1] + 1)}
+
+
+_KEYS = st.integers(0, 5)
+_STEPS = st.one_of(
+    st.tuples(
+        st.sampled_from([OP_PUT, OP_GET, OP_DELETE, OP_CAS]),
+        _KEYS,
+        st.integers(0, 99),
+        st.one_of(st.none(), st.integers(1, 4)),
+    ),
+    st.tuples(st.just("retry"), st.integers(0, 1000)),
+    st.tuples(st.just("move"), _KEYS, _KEYS),
+    st.tuples(st.just("copy"), _KEYS, _KEYS),
+    st.tuples(st.just("snapshot")),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.lists(_STEPS, max_size=80))
+def test_shared_results_match_a_plain_dict(steps):
+    """Random ops with dedup retries and range round trips give results
+    equal by value to a dict of key -> (value, version)."""
+    store = KvStore()
+    model: dict[int, tuple[int, int]] = {}
+    issued: list[tuple[KvOp, tuple[str, int], KvResult]] = []
+    for step in steps:
+        kind = step[0]
+        if kind == "retry":
+            if issued:
+                op, dedup, first = issued[step[1] % len(issued)]
+                assert store.apply(op, dedup=dedup) == first  # suppressed: same result
+        elif kind == "move":  # out to another store and back
+            keys = store.keys_in(min(step[1:]), max(step[1:]) + 1)
+            other = KvStore()
+            other.absorb(store.extract(keys))
+            assert set(store.keys()).isdisjoint(keys)
+            store.absorb(other.snapshot())
+        elif kind == "copy":
+            keys = store.keys_in(min(step[1:]), max(step[1:]) + 1)
+            other = KvStore()
+            other.absorb(store.extract_copy(keys))
+            for key in keys:
+                assert other.get(key) == store.get(key)
+        elif kind == "snapshot":  # a new member bootstrapped from this one
+            fresh = KvStore()
+            fresh.absorb(store.snapshot())
+            store = fresh
+        else:
+            op, key, value, expected = step
+            kv_op = KvOp(op, key, value, expected if op == OP_CAS else None)
+            dedup = ("c", len(issued) + 1)
+            want, model = _model_result(model, op, key, value, kv_op.expected_version)
+            got = store.apply(kv_op, dedup=dedup)
+            assert got == want
+            issued.append((kv_op, dedup, got))
+        assert store.keys() == sorted(model)
+        for key, (value, version) in model.items():
+            assert store.get(key) == KvResult(ok=True, value=value, version=version)
 
 
 @settings(max_examples=200, deadline=None)

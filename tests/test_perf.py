@@ -29,6 +29,7 @@ BENCH_NAMES = {
     "accept_msgs_per_slot",
     "cyclic_garbage_per_op",
     "node_footprint",
+    "op_footprint",
 }
 
 

@@ -45,6 +45,18 @@ class TestLatencyModels:
         assert all(s > 0 for s in samples)
         assert max(samples) > 2 * min(samples)  # genuine spread
 
+    @pytest.mark.parametrize("sigma", [0.4, 0.2, 0.0])
+    def test_lognormal_draws_are_the_stdlib_draws(self, sigma):
+        """The inlined draw is ``rng.lognormvariate(0.0, sigma)``, float
+        for float, and leaves the stream where the stdlib leaves it."""
+        model, wan = LogNormalLatency(0.004, sigma), WanLatencyMatrix(seed=2, jitter_sigma=sigma)
+        base = wan.base_latency("a", "b")
+        ours, stdlib = random.Random(33), random.Random(33)
+        for _ in range(50_000):
+            assert model.sample("a", "b", ours) == 0.004 * stdlib.lognormvariate(0.0, sigma)
+            assert wan.sample("a", "b", ours) == base * stdlib.lognormvariate(0.0, sigma)
+        assert ours.getstate() == stdlib.getstate()
+
     def test_wan_matrix_is_deterministic_per_name(self):
         m1 = WanLatencyMatrix(seed=7)
         m2 = WanLatencyMatrix(seed=7)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.dht.ring import hash_key
 from repro.sim import ConstantLatency, SimNetwork, Simulator
 from repro.workloads import (
     ChurnProcess,
@@ -116,6 +117,13 @@ class TestKeySpaces:
         rng = random.Random(8)
         seen = {keys.sample(rng) for _ in range(500)}
         assert seen == set(keys.all_keys())
+
+    @pytest.mark.parametrize("keys", [UniformKeys(50), ZipfKeys(50, theta=1.0)])
+    def test_ring_ids_are_the_sampled_keys_hashed_once(self, keys):
+        names, ids = random.Random(4), random.Random(4)
+        for _ in range(300):
+            assert keys.sample_ring_id(ids) == hash_key(keys.sample(names))
+        assert 0 < len(keys._ring_ids) <= keys.n_keys
 
     def test_zipf_skews_toward_low_ranks(self):
         keys = ZipfKeys(100, theta=1.0)
