@@ -1,7 +1,7 @@
 #!/bin/sh
 # Fast tier-1 check: the full test suite minus tests marked `slow`
-# (multi-seed nemesis schedules, the E1-E17 smoke sweep, and fuzz long
-# runs).  Use the plain `PYTHONPATH=src python -m pytest -x -q`
+# (multi-seed nemesis schedules, the E1-E21 claim and table sweep, and
+# fuzz long runs).  Use the plain `PYTHONPATH=src python -m pytest -x -q`
 # invocation for the full tier.
 set -e
 cd "$(dirname "$0")/.."

@@ -24,31 +24,35 @@ import time
 from repro.faults.scenarios import SCENARIOS, scenario_names
 from repro.harness.experiments import (
     ALL_EXPERIMENTS,
-    EXPERIMENT_TITLES,
     _churn_run,
     _nemesis_run,
+    experiment_key,
+    experiment_names,
+    run_experiment,
 )
 from repro.harness.builders import DeploymentParams
 
 
+def _unknown(exc: KeyError) -> int:
+    """Report an unknown experiment name (the message lists the known ones)."""
+    print(exc.args[0], file=sys.stderr)
+    return 2
+
+
 def _cmd_list(_args: argparse.Namespace) -> int:
-    for name in sorted(ALL_EXPERIMENTS, key=lambda k: int(k[1:])):
-        print(f"{name:>4}  {EXPERIMENT_TITLES.get(name, '')}")
+    for name in experiment_names():
+        print(f"{name:>4}  {ALL_EXPERIMENTS[name][1]}")
     return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    names = args.experiments or sorted(ALL_EXPERIMENTS, key=lambda k: int(k[1:]))
-    for name in names:
-        key = name.upper()
-        if key not in ALL_EXPERIMENTS:
-            print(f"unknown experiment {name!r}; try `python -m repro list`", file=sys.stderr)
-            return 2
+    try:
+        keys = [experiment_key(name) for name in args.experiments or experiment_names()]
+    except KeyError as exc:
+        return _unknown(exc)
+    for key in keys:
         started = time.time()
-        kwargs = {"quick": not args.full}
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        result = ALL_EXPERIMENTS[key](**kwargs)
+        result = run_experiment(key, quick=not args.full, seed=args.seed)
         print(result.render())
         if args.chart:
             from repro.harness.charts import render_chart
@@ -62,13 +66,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.harness.sweep import derive_seed, run_sweep
 
-    key = _experiment_key(args.experiment)
-    if key is None:
-        print(
-            f"unknown experiment {args.experiment!r}; try `python -m repro list`",
-            file=sys.stderr,
-        )
-        return 2
+    try:
+        key = experiment_key(args.experiment)
+    except KeyError as exc:
+        return _unknown(exc)
     seeds = args.seeds
     if not seeds:
         seeds = [derive_seed(args.master_seed, key, i) for i in range(args.count)]
@@ -159,28 +160,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _experiment_key(name: str) -> str | None:
-    """Normalize 'e05'/'E5'/'5' to the registry key 'E5' (None if unknown)."""
-    text = name.strip().upper()
-    if text.startswith("E"):
-        text = text[1:]
-    if not text.isdigit():
-        return None
-    key = f"E{int(text)}"
-    return key if key in ALL_EXPERIMENTS else None
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.harness.experiments import run_traced
     from repro.obs.export import render_breakdown, write_jsonl
 
-    key = _experiment_key(args.experiment)
-    if key is None:
-        print(
-            f"unknown experiment {args.experiment!r}; try `python -m repro list`",
-            file=sys.stderr,
-        )
-        return 2
+    try:
+        key = experiment_key(args.experiment)
+    except KeyError as exc:
+        return _unknown(exc)
     started = time.time()
     result, tracer = run_traced(key, quick=not args.full, seed=args.seed)
     out = args.out or f"trace_{key}.jsonl"

@@ -1,5 +1,5 @@
 """Experiment harness: builders, metric collection, and the experiment
-entry points (E1–E20) that regenerate the paper's tables and figures."""
+entry points (E1–E21) that regenerate the paper's tables and figures."""
 
 from repro.harness.results import ExperimentResult, format_table
 from repro.harness.builders import (

@@ -1,10 +1,11 @@
-"""Experiment entry points E1–E20 (see DESIGN.md for the index).
+"""Experiments E1–E21 (see DESIGN.md for the index).
 
-Every function returns an :class:`ExperimentResult` whose rows are the
-series the corresponding figure/table in the paper plots.  ``quick=True``
-(the default, used by the benchmark suite) runs a scaled-down version;
-``quick=False`` runs closer to paper scale and is what EXPERIMENTS.md
-records.
+Every ``run_eNN`` returns an :class:`ExperimentResult` whose rows are
+the series the corresponding figure/table in the paper plots.
+``quick=True`` (the default, what tier-1 checks) runs a scaled-down
+version; ``quick=False`` runs closer to paper scale and is what
+EXPERIMENTS.md records.  :func:`run_experiment` is the one way to run
+one by name; ``tests/test_experiments_smoke.py`` holds each one's claim.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from repro.analysis.liveness import GroupQuorumWatch, LivenessWatchdog
 from repro.analysis.stats import mean, percentile
 from repro.baseline.chord import ChordConfig
 from repro.consensus.replica import PaxosConfig
-from repro.dht.client import ClientConfig
+from repro.dht.client import ClientConfig, ScatterClient
 from repro.faults import FaultTarget, ScheduleRunner, build_scenario, get_scenario
 from repro.faults.nemesis import crash_storm, node_loss_storm
+from repro.group.replica import GroupStatus
 from repro.harness.builders import (
     DeploymentParams,
     build_chord_deployment,
@@ -30,12 +32,11 @@ from repro.harness.builders import (
 from repro.harness.metrics import workload_metrics
 from repro.harness.results import ExperimentResult
 from repro.policies import ScatterPolicy
-from repro.sim.latency import WanLatencyMatrix
+from repro.sim.latency import ConstantLatency, WanLatencyMatrix
 from repro.storage.disk import StorageConfig
 from repro.txn.classic import ClassicCoordinator, ClassicParticipant
 from repro.sim.loop import Simulator
 from repro.sim.network import SimNetwork
-from repro.sim.latency import ConstantLatency
 from repro.workloads import ChurnProcess, UniformKeys, ZipfKeys, exponential_lifetime
 from repro.workloads.chirp import ChirpWorkload
 from repro.workloads.driver import ClosedLoopWorkload
@@ -95,25 +96,16 @@ def _nemesis_run(
 
     Shared by E16, the CLI ``nemesis`` subcommand, and tests, so fault
     schedules are defined once in :mod:`repro.faults.scenarios`.
-    Recovery time is measured from the final heal (the runner's stop at
-    the end of the fault window) to the first client operation
-    completing afterwards, capped at ``recovery_cap`` seconds.
     """
+    spec = get_scenario(scenario)
     if backend == "scatter":
         # Disk-fault scenarios need disks to act on; every other scenario
         # runs storage-off so E16 stays on the zero-perturbation path.
-        config = None
-        spec = get_scenario(scenario)
-        if spec.needs_storage:
-            config = experiment_scatter_config(storage=StorageConfig())
-        policy_kwargs = dict(CHURN_POLICY_KWARGS)
-        if spec.needs_repair:
-            policy_kwargs["repair"] = True
-        deployment = build_scatter_deployment(
-            params, policy=ScatterPolicy(**policy_kwargs), config=config
-        )
+        config = experiment_scatter_config(storage=StorageConfig()) if spec.needs_storage else None
+        policy = ScatterPolicy(**CHURN_POLICY_KWARGS, repair=spec.needs_repair)
+        deployment = build_scatter_deployment(params, policy=policy, config=config)
     else:
-        chord_config = ChordConfig(hardened=True) if get_scenario(scenario).needs_repair else None
+        chord_config = ChordConfig(hardened=True) if spec.needs_repair else None
         deployment = build_chord_deployment(params, config=chord_config)
     sim, system, clients = deployment.sim, deployment.system, deployment.clients
     workload = ClosedLoopWorkload(
@@ -121,23 +113,50 @@ def _nemesis_run(
     )
     workload.start()
     sim.run_for(5.0)  # populate keys and reach steady state before faults
-
-    def completed_ops() -> int:
-        return sum(1 for r in workload.all_records() if r.completed)
-
     target = FaultTarget.for_system(system)
-    faults = ScheduleRunner(
-        sim, system, target, build_scenario(scenario, sim, target, duration)
-    )
-    watchdog = LivenessWatchdog(sim, completed_ops, window=watchdog_window)
+    schedule = build_scenario(scenario, sim, target, duration)
     # Permanent-loss scenarios also get a per-group quorum watch so the
     # run can distinguish dead groups (permanently below quorum, with a
     # first-below timestamp) from transient dips.  Gated on needs_repair
     # so legacy scenarios (E16's rows) keep a byte-identical event
     # stream.
     quorum_watch = None
-    if backend == "scatter" and get_scenario(scenario).needs_repair:
+    if backend == "scatter" and spec.needs_repair:
         quorum_watch = GroupQuorumWatch(sim, _group_quorum_probe(system))
+    metrics = _fault_window(
+        deployment, workload, target, schedule, duration,
+        watchdog_window, recovery_cap, quorum_watch,
+    )
+    metrics["scenario"] = scenario
+    return metrics
+
+
+def _fault_window(
+    deployment,
+    workload: ClosedLoopWorkload,
+    target: FaultTarget,
+    schedule,
+    duration: float,
+    watchdog_window: float = 3.0,
+    recovery_cap: float = 20.0,
+    quorum_watch: GroupQuorumWatch | None = None,
+) -> dict:
+    """Apply ``schedule`` to a warmed-up ``workload``, then time recovery.
+
+    Returns the workload metrics over the fault window plus the fault,
+    stall and recovery counts.  Recovery time is measured from the final
+    heal (the runner's stop at the end of the window) to the first
+    client operation completing afterwards, capped at ``recovery_cap``
+    seconds.  A ``quorum_watch`` runs alongside and adds its dead-group
+    verdict.
+    """
+    sim = deployment.sim
+
+    def completed_ops() -> int:
+        return sum(1 for r in workload.all_records() if r.completed)
+
+    faults = ScheduleRunner(sim, deployment.system, target, schedule)
+    watchdog = LivenessWatchdog(sim, completed_ops, window=watchdog_window)
     start = sim.now
     watchdog.start()
     if quorum_watch is not None:
@@ -155,7 +174,6 @@ def _nemesis_run(
     workload.stop()
     sim.run_for(2.0)
     metrics = workload_metrics(workload.all_records(), window=(start, fault_end))
-    metrics["scenario"] = scenario
     metrics["fault_events"] = len(faults.applied)
     metrics["stalls"] = watchdog.stall_count
     metrics["max_stall_s"] = watchdog.max_stall
@@ -176,7 +194,6 @@ def _group_quorum_probe(system):
     disk-wipe survivor attends but cannot vote); membership size is the
     largest roster any attending replica reports for the group.
     """
-    from repro.group.replica import GroupStatus
 
     def probe() -> dict[str, tuple[int, int]]:
         counts: dict[str, tuple[int, int]] = {}
@@ -194,6 +211,37 @@ def _group_quorum_probe(system):
         return counts
 
     return probe
+
+
+def _closed_loop_window(
+    deployment, workload: ClosedLoopWorkload, duration: float, warm: float = 3.0
+) -> tuple[dict, float, int, int]:
+    """Warm ``workload`` up, measure ``duration`` sim-seconds, then drain 1 s.
+
+    Returns ``(metrics, start, msgs, events)``: the workload metrics over
+    the measured window, its start time, and the messages sent and
+    simulator events processed inside it.
+    """
+    sim, net = deployment.sim, deployment.net
+    workload.start()
+    sim.run_for(warm)
+    start = sim.now
+    msgs_before, events_before = net.stats.sent, sim.events_processed
+    sim.run_for(duration)
+    msgs = net.stats.sent - msgs_before
+    events = sim.events_processed - events_before
+    workload.stop()
+    sim.run_for(1.0)
+    metrics = workload_metrics(workload.all_records(), window=(start, start + duration))
+    return metrics, start, msgs, events
+
+
+def _fast_paxos(**knobs) -> PaxosConfig:
+    """Paxos with the fast timing E15, E17, E19 and E20 share (150 ms heartbeats)."""
+    return PaxosConfig(
+        heartbeat_interval=0.15, election_timeout=0.7, lease_duration=0.5,
+        retry_interval=0.4, **knobs,
+    )
 
 
 def _lifetimes(quick: bool) -> list[float]:
@@ -411,29 +459,19 @@ def run_e06(quick: bool = True, seed: int = 6) -> ExperimentResult:
             n_nodes=n, n_groups=n // 3, n_clients=max(2, n // 6), seed=seed
         )
         deployment = build_scatter_deployment(params)
-        sim, clients = deployment.sim, deployment.clients
+        sim = deployment.sim
         workload = ClosedLoopWorkload(
-            sim, clients, UniformKeys(8 * n), read_fraction=0.5, think_time=0.0
+            sim, deployment.clients, UniformKeys(8 * n), read_fraction=0.5, think_time=0.0
         )
-        workload.start()
-        sim.run_for(3.0)
-        start = sim.now
-        msgs_before = deployment.net.stats.sent
-        events_before = sim.events_processed
-        sim.run_for(duration)
-        msgs_during = deployment.net.stats.sent - msgs_before
-        events_during = sim.events_processed - events_before
-        workload.stop()
-        sim.run_for(1.0)
-        metrics = workload_metrics(workload.all_records(), window=(start, start + duration))
+        metrics, _start, msgs, events = _closed_loop_window(deployment, workload, duration)
         result.add(
             nodes=n,
             groups=n // 3,
             clients=params.n_clients,
             ops_per_s=metrics["completed"] / duration,
             p50_ms=1000 * metrics["latency_p50"],
-            msgs_per_op=msgs_during / max(1, metrics["completed"]),
-            sim_events=events_during,
+            msgs_per_op=msgs / max(1, metrics["completed"]),
+            sim_events=events,
         )
         total_events += sim.events_processed
         total_wall += time.perf_counter() - wall_start
@@ -727,17 +765,11 @@ def run_e11(quick: bool = True, seed: int = 11) -> ExperimentResult:
         deployment = build_scatter_deployment(
             params, config=experiment_scatter_config(paxos=paxos)
         )
-        sim, clients = deployment.sim, deployment.clients
         workload = ClosedLoopWorkload(
-            sim, clients, UniformKeys(40), read_fraction=0.8, think_time=0.0
+            deployment.sim, deployment.clients, UniformKeys(40), read_fraction=0.8,
+            think_time=0.0,
         )
-        workload.start()
-        sim.run_for(3.0)
-        start = sim.now
-        sim.run_for(duration)
-        workload.stop()
-        sim.run_for(1.0)
-        metrics = workload_metrics(workload.all_records(), window=(start, start + duration))
+        metrics, start, _msgs, _events = _closed_loop_window(deployment, workload, duration)
         gets = [
             r.latency
             for r in workload.all_records()
@@ -757,8 +789,6 @@ def run_e11(quick: bool = True, seed: int = 11) -> ExperimentResult:
 # E12: non-blocking transactions ablation
 # ---------------------------------------------------------------------------
 def run_e12(quick: bool = True, seed: int = 12) -> ExperimentResult:
-    from repro.group.replica import GroupStatus
-
     result = ExperimentResult(
         experiment="E12",
         title="E12: coordinator death mid-transaction — blocked time",
@@ -842,9 +872,6 @@ def run_e12(quick: bool = True, seed: int = 12) -> ExperimentResult:
 # E13 (bonus ablation): routing hops vs ring size, with and without gossip
 # ---------------------------------------------------------------------------
 def run_e13(quick: bool = True, seed: int = 13) -> ExperimentResult:
-    from repro.dht.client import ScatterClient
-    from repro.workloads.keys import UniformKeys as _UK
-
     result = ExperimentResult(
         experiment="E13",
         title="E13: cold-client lookup hops vs number of groups (gossip ablation)",
@@ -867,7 +894,7 @@ def run_e13(quick: bool = True, seed: int = 13) -> ExperimentResult:
             deployment = build_scatter_deployment(params, config=config)
             sim, net, system = deployment.sim, deployment.net, deployment.system
             sim.run_for(20.0)  # let gossip (if any) converge
-            keys = _UK(lookups * 4)
+            keys = UniformKeys(lookups * 4)
             rng = sim.rng("e13")
             hops = []
             latencies = []
@@ -897,8 +924,6 @@ def run_e13(quick: bool = True, seed: int = 13) -> ExperimentResult:
 # E14 (bonus): latency-throughput curve under increasing offered load
 # ---------------------------------------------------------------------------
 def run_e14(quick: bool = True, seed: int = 14) -> ExperimentResult:
-    from repro.dht.client import ScatterClient
-
     result = ExperimentResult(
         experiment="E14",
         title="E14: latency vs throughput as offered load grows (fixed 12-node system)",
@@ -925,13 +950,7 @@ def run_e14(quick: bool = True, seed: int = 14) -> ExperimentResult:
         workload = ClosedLoopWorkload(
             sim, clients, UniformKeys(100), read_fraction=0.5, think_time=0.0
         )
-        workload.start()
-        sim.run_for(3.0)
-        start = sim.now
-        sim.run_for(duration)
-        workload.stop()
-        sim.run_for(1.0)
-        metrics = workload_metrics(workload.all_records(), window=(start, start + duration))
+        metrics, _start, _msgs, _events = _closed_loop_window(deployment, workload, duration)
         result.add(
             clients=n_clients,
             ops_per_s=metrics["completed"] / duration,
@@ -955,33 +974,16 @@ def run_e15(quick: bool = True, seed: int = 15) -> ExperimentResult:
     duration = 20.0 if quick else 60.0
     n_clients = 12 if quick else 24
     for batch in (False, True):
-        paxos = PaxosConfig(
-            heartbeat_interval=0.15,
-            election_timeout=0.7,
-            lease_duration=0.5,
-            retry_interval=0.4,
-            compact_threshold=400,
-            batch=batch,
-            batch_window=0.003,
-            batch_max=16,
-        )
+        paxos = _fast_paxos(compact_threshold=400, batch=batch, batch_window=0.003, batch_max=16)
         params = DeploymentParams(n_nodes=9, n_groups=3, n_clients=n_clients, seed=seed)
         deployment = build_scatter_deployment(
             params, config=experiment_scatter_config(paxos=paxos)
         )
-        sim, net, clients = deployment.sim, deployment.net, deployment.clients
         workload = ClosedLoopWorkload(
-            sim, clients, UniformKeys(60), read_fraction=0.1, think_time=0.0
+            deployment.sim, deployment.clients, UniformKeys(60), read_fraction=0.1,
+            think_time=0.0,
         )
-        workload.start()
-        sim.run_for(3.0)
-        start = sim.now
-        msgs_before = net.stats.sent
-        sim.run_for(duration)
-        msgs = net.stats.sent - msgs_before
-        workload.stop()
-        sim.run_for(1.0)
-        metrics = workload_metrics(workload.all_records(), window=(start, start + duration))
+        metrics, _start, msgs, _events = _closed_loop_window(deployment, workload, duration)
         result.add(
             batch=batch,
             ops_per_s=metrics["completed"] / duration,
@@ -1060,15 +1062,8 @@ def run_e17(quick: bool = True, seed: int = 17) -> ExperimentResult:
     )
     duration = 30.0 if quick else 90.0
     thresholds = (0, 64, 256, 1024) if quick else (0, 32, 64, 128, 256, 512, 1024)
-    recovery_cap = 20.0
     for threshold in thresholds:
-        paxos = PaxosConfig(
-            heartbeat_interval=0.15,
-            election_timeout=0.7,
-            lease_duration=0.5,
-            retry_interval=0.4,
-            compact_threshold=threshold,
-        )
+        paxos = _fast_paxos(compact_threshold=threshold)
         params = DeploymentParams(n_nodes=12, n_groups=4, n_clients=3, seed=seed)
         deployment = build_scatter_deployment(
             params,
@@ -1081,31 +1076,12 @@ def run_e17(quick: bool = True, seed: int = 17) -> ExperimentResult:
         )
         workload.start()
         sim.run_for(5.0)
-
-        def completed_ops() -> int:
-            return sum(1 for r in workload.all_records() if r.completed)
-
         target = FaultTarget.for_system(system)
-        storm = ScheduleRunner(sim, system, target, crash_storm(
+        storm = crash_storm(
             sim.rng("nemesis:crash-storm"), duration, target.node_ids(),
             interval=2.0, downtime=(0.5, 2.5), max_down=1,
-        ))
-        watchdog = LivenessWatchdog(sim, completed_ops, window=3.0)
-        start = sim.now
-        watchdog.start()
-        storm.start()
-        sim.run_for(duration)
-        storm.stop()
-        fault_end = sim.now
-        before_recovery = completed_ops()
-        recovery = 0.0
-        while recovery < recovery_cap and completed_ops() == before_recovery:
-            sim.run_for(0.25)
-            recovery += 0.25
-        watchdog.stop()
-        workload.stop()
-        sim.run_for(2.0)
-
+        )
+        metrics = _fault_window(deployment, workload, target, storm, duration)
         regions = [
             region
             for node in system.nodes.values()
@@ -1115,7 +1091,6 @@ def run_e17(quick: bool = True, seed: int = 17) -> ExperimentResult:
         recoveries = sum(r.recoveries for r in regions)
         replay_total = sum(r.replayed_total for r in regions)
         snapshot_recoveries = sum(r.snapshot_recoveries for r in regions)
-        metrics = workload_metrics(workload.all_records(), window=(start, fault_end))
         result.add(
             compact_threshold=threshold,
             ops=metrics["ops"],
@@ -1124,9 +1099,9 @@ def run_e17(quick: bool = True, seed: int = 17) -> ExperimentResult:
             mean_replay=replay_total / max(1, recoveries),
             max_replay=max((r.max_replayed for r in regions), default=0),
             snapshot_pct=100.0 * snapshot_recoveries / max(1, recoveries),
-            stalls=watchdog.stall_count,
-            max_stall_s=watchdog.max_stall,
-            recovery_s=recovery,
+            stalls=metrics["stalls"],
+            max_stall_s=metrics["max_stall_s"],
+            recovery_s=metrics["recovery_s"],
         )
     return result
 
@@ -1349,16 +1324,9 @@ def run_e19(quick: bool = True, seed: int = 19) -> ExperimentResult:
     duration = 12.0 if quick else 30.0
     n_clients = 64
     for batch_max, pipe in cells:
-        paxos = PaxosConfig(
-            heartbeat_interval=0.15,
-            election_timeout=0.7,
-            lease_duration=0.5,
-            retry_interval=0.4,
-            compact_threshold=400,
-            batch=batch_max > 0,
-            batch_window=0.003,
-            batch_max=batch_max or 16,
-            pipeline_depth=pipe,
+        paxos = _fast_paxos(
+            compact_threshold=400, batch=batch_max > 0, batch_window=0.003,
+            batch_max=batch_max or 16, pipeline_depth=pipe,
         )
         config = experiment_scatter_config(paxos=paxos, storage=StorageConfig())
         config.op_service_time = 0.0002
@@ -1427,14 +1395,7 @@ def run_e20(quick: bool = True, seed: int = 20) -> ExperimentResult:
     baseline_reads: dict[int, float] = {}
     for replicas in replica_counts:
         for follower_reads in (False, True):
-            paxos = PaxosConfig(
-                heartbeat_interval=0.15,
-                election_timeout=0.7,
-                lease_duration=0.5,
-                retry_interval=0.4,
-                compact_threshold=400,
-                follower_reads=follower_reads,
-            )
+            paxos = _fast_paxos(compact_threshold=400, follower_reads=follower_reads)
             config = experiment_scatter_config(paxos=paxos)
             config.op_service_time = 0.002
             policy = ScatterPolicy(
@@ -1453,22 +1414,15 @@ def run_e20(quick: bool = True, seed: int = 20) -> ExperimentResult:
                     read_routing="round_robin" if follower_reads else "leader"
                 ),
             )
-            sim = deployment.sim
             workload = ClosedLoopWorkload(
-                sim, deployment.clients, UniformKeys(40), read_fraction=0.9, think_time=0.0
+                deployment.sim, deployment.clients, UniformKeys(40), read_fraction=0.9,
+                think_time=0.0,
             )
-            workload.start()
-            sim.run_for(3.0)
-            start = sim.now
-            sim.run_for(duration)
-            workload.stop()
-            sim.run_for(1.0)
-            records = workload.all_records()
-            metrics = workload_metrics(records, window=(start, start + duration))
+            metrics, start, _msgs, _events = _closed_loop_window(deployment, workload, duration)
             reads_per_s = (
                 sum(
                     1
-                    for r in records
+                    for r in workload.all_records()
                     if r.op == "get" and r.completed and start <= r.response_time <= start + duration
                 )
                 / duration
@@ -1535,25 +1489,17 @@ def run_e21(quick: bool = True, seed: int = 21) -> ExperimentResult:
             params,
             client_config=ClientConfig(route_table=True, cache_size=n_groups + 16),
         )
-        sim, clients = deployment.sim, deployment.clients
+        sim = deployment.sim
         workload = ClosedLoopWorkload(
-            sim, clients, UniformKeys(8 * n), read_fraction=0.9, think_time=0.0
+            sim, deployment.clients, UniformKeys(8 * n), read_fraction=0.9, think_time=0.0
         )
-        workload.start()
-        sim.run_for(2.0)  # warm the client caches before measuring
-        start = sim.now
-        msgs_before = deployment.net.stats.sent
-        events_before = sim.events_processed
-        sim.run_for(duration)
-        msgs_during = deployment.net.stats.sent - msgs_before
-        events_during = sim.events_processed - events_before
-        workload.stop()
-        sim.run_for(1.0)
-        records = workload.all_records()
-        metrics = workload_metrics(records, window=(start, start + duration))
+        # A 2 s warm-up fills the client caches before measuring.
+        metrics, start, msgs, events = _closed_loop_window(
+            deployment, workload, duration, warm=2.0
+        )
         hops = [
             r.hops
-            for r in records
+            for r in workload.all_records()
             if r.completed and start <= r.invoke_time < start + duration
         ]
         result.add(
@@ -1563,8 +1509,8 @@ def run_e21(quick: bool = True, seed: int = 21) -> ExperimentResult:
             ops_per_s=metrics["completed"] / duration,
             p50_ms=1000 * metrics["latency_p50"],
             hops_per_op=mean(hops) if hops else float("nan"),
-            msgs_per_op=msgs_during / max(1, metrics["completed"]),
-            sim_events=events_during,
+            msgs_per_op=msgs / max(1, metrics["completed"]),
+            sim_events=events,
         )
         total_events += sim.events_processed
         total_wall += time.perf_counter() - wall_start
@@ -1573,82 +1519,72 @@ def run_e21(quick: bool = True, seed: int = 21) -> ExperimentResult:
         "total_sim_events": total_events,
         "wall_s": round(total_wall, 2),
         # The process's high-water mark: E21's own when it runs alone
-        # (scripts/run_full_experiments.py E21).  Linux reports KiB.
+        # (scripts/run_experiments.py --full E21).  Linux reports KiB.
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
     return result
 
 
-EXPERIMENT_TITLES = {
-    "E1": "inconsistent lookups in a Chord-style DHT vs churn (motivation)",
-    "E2": "linearizability violations, Scatter vs Chord, under churn (headline)",
-    "E3": "operation availability vs churn",
-    "E4": "Scatter client latency vs churn",
-    "E5": "latency of group operations (split/merge/migrate/repartition/join)",
-    "E6": "aggregate throughput vs system size",
-    "E7": "group failure probability vs group size (resilience knob)",
-    "E8": "load balance: midpoint vs load-median split keys",
-    "E9": "latency policy: random vs latency-aware leader placement",
-    "E10": "Chirp (Twitter clone) on Scatter vs Chord",
-    "E11": "ablation: leader leases vs log reads",
-    "E12": "ablation: non-blocking 2PC vs classic 2PC",
-    "E13": "bonus: cold lookup hops vs ring size (gossip ablation)",
-    "E14": "bonus: latency-throughput saturation curve",
-    "E15": "bonus: Paxos write batching ablation",
-    "E16": "availability and recovery under gray failures vs clean crashes",
-    "E17": "crash recovery cost vs snapshot threshold (durable storage)",
-    "E18": "data survival under permanent node loss (self-healing vs baselines)",
-    "E19": "write-path saturation: batching x pipelining on a group-committed WAL",
-    "E20": "read scale-out: follower reads vs leader-only, by replica count",
-    "E21": "large-ring scale-out: throughput and routing at thousands of nodes",
-}
-
-def _with_wall_clock(fn):
-    """Registry wrapper: every experiment reports wall-clock time in perf.
-
-    ``perf`` is excluded from result comparisons (see harness.results),
-    so stamping it never perturbs determinism checks; experiments that
-    populate their own perf keys (E6) keep them — we only fill wall_s
-    if the experiment didn't.
-    """
-    import functools
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        started = time.perf_counter()
-        result = fn(*args, **kwargs)
-        result.perf.setdefault("wall_s", round(time.perf_counter() - started, 2))
-        return result
-
-    return wrapper
-
-
+# name -> (run function, the title `repro list` prints).  Tests
+# monkeypatch entries; everything else goes through run_experiment.
 ALL_EXPERIMENTS = {
-    name: _with_wall_clock(fn)
-    for name, fn in {
-        "E1": run_e01,
-        "E2": run_e02,
-        "E3": run_e03,
-        "E4": run_e04,
-        "E5": run_e05,
-        "E6": run_e06,
-        "E7": run_e07,
-        "E8": run_e08,
-        "E9": run_e09,
-        "E10": run_e10,
-        "E11": run_e11,
-        "E12": run_e12,
-        "E13": run_e13,
-        "E14": run_e14,
-        "E15": run_e15,
-        "E16": run_e16,
-        "E17": run_e17,
-        "E18": run_e18,
-        "E19": run_e19,
-        "E20": run_e20,
-        "E21": run_e21,
-    }.items()
+    "E1": (run_e01, "inconsistent lookups in a Chord-style DHT vs churn (motivation)"),
+    "E2": (run_e02, "linearizability violations, Scatter vs Chord, under churn (headline)"),
+    "E3": (run_e03, "operation availability vs churn"),
+    "E4": (run_e04, "Scatter client latency vs churn"),
+    "E5": (run_e05, "latency of group operations (split/merge/migrate/repartition/join)"),
+    "E6": (run_e06, "aggregate throughput vs system size"),
+    "E7": (run_e07, "group failure probability vs group size (resilience knob)"),
+    "E8": (run_e08, "load balance: midpoint vs load-median split keys"),
+    "E9": (run_e09, "latency policy: random vs latency-aware leader placement"),
+    "E10": (run_e10, "Chirp (Twitter clone) on Scatter vs Chord"),
+    "E11": (run_e11, "ablation: leader leases vs log reads"),
+    "E12": (run_e12, "ablation: non-blocking 2PC vs classic 2PC"),
+    "E13": (run_e13, "bonus: cold lookup hops vs ring size (gossip ablation)"),
+    "E14": (run_e14, "bonus: latency-throughput saturation curve"),
+    "E15": (run_e15, "bonus: Paxos write batching ablation"),
+    "E16": (run_e16, "availability and recovery under gray failures vs clean crashes"),
+    "E17": (run_e17, "crash recovery cost vs snapshot threshold (durable storage)"),
+    "E18": (run_e18, "data survival under permanent node loss (self-healing vs baselines)"),
+    "E19": (run_e19, "write-path saturation: batching x pipelining on a group-committed WAL"),
+    "E20": (run_e20, "read scale-out: follower reads vs leader-only, by replica count"),
+    "E21": (run_e21, "large-ring scale-out: throughput and routing at thousands of nodes"),
 }
+
+
+def experiment_names() -> list[str]:
+    """Registered experiment names in numeric order (E1, E2, ..., E21)."""
+    return sorted(ALL_EXPERIMENTS, key=lambda k: int(k[1:]))
+
+
+def experiment_key(name: str) -> str:
+    """Normalize ``e05`` / ``E5`` / ``5`` to the registry key ``E5``.
+
+    Raises one :class:`KeyError` whose message lists the known names.
+    """
+    digits = name.strip().upper().removeprefix("E")
+    key = f"E{int(digits)}" if digits.isdigit() else name
+    if key not in ALL_EXPERIMENTS:
+        known = ", ".join(experiment_names())
+        raise KeyError(f"unknown experiment {name!r}; known: {known}")
+    return key
+
+
+def run_experiment(
+    name: str, quick: bool = True, seed: int | None = None
+) -> ExperimentResult:
+    """Run one registered experiment by name: the one entry point.
+
+    ``seed=None`` keeps the experiment's own default seed.  Stamps
+    ``perf["wall_s"]`` unless the experiment reports its own (E6, E21);
+    ``perf`` never enters a table comparison (see harness.results), so
+    the stamp cannot perturb a determinism check.
+    """
+    run, _title = ALL_EXPERIMENTS[experiment_key(name)]
+    started = time.perf_counter()
+    result = run(quick=quick) if seed is None else run(quick=quick, seed=seed)
+    result.perf.setdefault("wall_s", round(time.perf_counter() - started, 2))
+    return result
 
 
 def run_traced(name: str, tracer=None, quick: bool = True, seed: int | None = None):
@@ -1663,14 +1599,8 @@ def run_traced(name: str, tracer=None, quick: bool = True, seed: int | None = No
     """
     from repro.obs import Tracer, tracing
 
-    key = name.upper()
-    if key not in ALL_EXPERIMENTS:
-        raise KeyError(f"unknown experiment {name!r}")
     if tracer is None:
         tracer = Tracer()
-    kwargs: dict = {"quick": quick}
-    if seed is not None:
-        kwargs["seed"] = seed
     with tracing(tracer):
-        result = ALL_EXPERIMENTS[key](**kwargs)
+        result = run_experiment(name, quick=quick, seed=seed)
     return result, tracer

@@ -72,7 +72,7 @@ class SweepCell:
     """One unit of sweep work: an experiment at one seed.
 
     ``seed=None`` means "the experiment's registered default" — used
-    when sharding whole experiments (``run_full_experiments.py``)
+    when sharding whole experiments (``scripts/run_experiments.py``)
     rather than seeds of a single experiment.
     """
 
@@ -116,13 +116,9 @@ def _run_cell(payload: tuple[int, SweepCell]) -> CellResult:
     imports this module, runs the experiment, and returns plain data.
     """
     index, cell = payload
-    from repro.harness.experiments import ALL_EXPERIMENTS
+    from repro.harness.experiments import run_experiment
 
-    fn = ALL_EXPERIMENTS[cell.experiment]
-    kwargs: dict = {"quick": cell.quick}
-    if cell.seed is not None:
-        kwargs["seed"] = cell.seed
-    result = fn(**kwargs)
+    result = run_experiment(cell.experiment, quick=cell.quick, seed=cell.seed)
     table = result.table()
     return CellResult(
         index=index,
@@ -205,16 +201,3 @@ def run_sweep(
         ),
     }
     return SweepResult(experiment=experiment, workers=workers, cells=results, merged=merged)
-
-
-def run_experiments_parallel(
-    names: list[str], quick: bool, workers: int
-) -> list[CellResult]:
-    """Shard whole experiments (at their default seeds) across workers.
-
-    The ``run_full_experiments.py --workers N`` path: each experiment is
-    one cell; results come back in ``names`` order with the rendered
-    table (perf footer included) ready to write to disk.
-    """
-    cells = [SweepCell(experiment=name, seed=None, quick=quick) for name in names]
-    return map_cells(cells, workers)

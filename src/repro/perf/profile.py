@@ -23,29 +23,22 @@ def profile_experiment(
 ):
     """Profile one experiment run; returns ``(result, stats_text)``.
 
-    ``name`` is an experiment key like ``"E6"`` (see
-    ``repro.harness.experiments.ALL_EXPERIMENTS``).  ``sort`` is a
+    ``name`` is an experiment name like ``"E6"`` or ``"e06"`` (see
+    ``repro.harness.experiments.run_experiment``).  ``sort`` is a
     pstats sort key: ``tottime`` shows the hot frames themselves,
     ``cumulative`` shows which subsystems the time flows through.
     """
     # Lazy import: keeps `repro.perf` importable without the full stack.
-    from repro.harness.experiments import ALL_EXPERIMENTS
+    from repro.harness.experiments import experiment_key, run_experiment
 
-    key = name.upper()
-    if key not in ALL_EXPERIMENTS:
-        known = ", ".join(sorted(ALL_EXPERIMENTS, key=lambda k: int(k[1:])))
-        raise KeyError(f"unknown experiment {name!r}; known: {known}")
+    key = experiment_key(name)
     if sort not in VALID_SORTS:
         raise ValueError(f"sort must be one of {VALID_SORTS}, got {sort!r}")
-
-    kwargs: dict = {"quick": quick}
-    if seed is not None:
-        kwargs["seed"] = seed
 
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        result = ALL_EXPERIMENTS[key](**kwargs)
+        result = run_experiment(key, quick=quick, seed=seed)
     finally:
         profiler.disable()
 

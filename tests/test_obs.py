@@ -314,7 +314,7 @@ class TestCli:
     ):
         from repro.cli import main
 
-        monkeypatch.setitem(ALL_EXPERIMENTS, "E99", _fake_experiment)
+        monkeypatch.setitem(ALL_EXPERIMENTS, "E99", (_fake_experiment, "fake"))
         out = tmp_path / "trace.jsonl"
         assert main(["trace", "e99", "--out", str(out)]) == 0
         printed = capsys.readouterr().out

@@ -130,7 +130,7 @@ class TestProfile:
         assert "function calls" in stats_text
 
     def test_profile_unknown_experiment(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="known: E1, E2"):
             profile_experiment("E99")
 
     def test_profile_bad_sort(self):
@@ -177,3 +177,4 @@ class TestPerfCli:
 
     def test_profile_cli_unknown(self, capsys):
         assert main(["profile", "E99"]) == 2
+        assert "unknown experiment 'E99'; known: E1" in capsys.readouterr().err

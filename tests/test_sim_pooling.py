@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.builders import DeploymentParams, build_scatter_deployment
-from repro.harness.experiments import ALL_EXPERIMENTS
+from repro.harness.experiments import run_experiment
 from repro.obs import Tracer, tracing
 from repro.sim.latency import ConstantLatency
 from repro.sim.loop import Simulator
@@ -62,9 +62,9 @@ class TestPoolingZeroPerturbation:
 @pytest.mark.parametrize("name", ["E1", "E2", "E3", "E4", "E5"])
 def test_experiment_tables_identical_with_pooling_off(name):
     """E1-E5 quick mode: a traced run reproduces the untraced tables byte-for-byte."""
-    plain = ALL_EXPERIMENTS[name](quick=True).table()
+    plain = run_experiment(name).table()
     with tracing(Tracer()):
-        traced = ALL_EXPERIMENTS[name](quick=True).table()
+        traced = run_experiment(name).table()
     assert traced == plain
 
 
