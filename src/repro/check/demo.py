@@ -33,11 +33,22 @@ the duration of a ``with`` block:
   the Put was acknowledged elsewhere — a stale read the per-key
   linearizability checker flags.  Only bites on plans with
   ``follower_reads`` enabled (about half of sampled plans).
+- ``session-forgets-open-op`` plants the hole a client-session window
+  of one has: a store that applies a client's op trims its session at
+  that op's own sequence number, not at the client's watermark, and
+  applies whatever arrives below it.  A late retry of a still-open op,
+  or a duplicate of an answered one, is then applied a second time.
+  The fuzzer's scripted clients keep one op open at a time, so only a
+  duplicate delayed past the client's next op can expose it, and a
+  put landing twice is visible only if a write to the same key and a
+  read fall in between: no fuzz campaign has caught it within the
+  canary budget.  The session model in ``tests/test_kvstore.py`` does.
 
 The patch is applied at class level inside the context manager and
 always restored, so production code paths never see it; nothing outside
 ``repro.check`` imports this module.  The CI canary asserts the fuzzer
-finds and shrinks these within a bounded iteration budget.
+finds and shrinks these, ``session-forgets-open-op`` aside, within a
+bounded iteration budget.
 """
 
 from __future__ import annotations
@@ -47,12 +58,14 @@ from contextlib import contextmanager
 from repro.consensus.commands import Command
 from repro.consensus.replica import PaxosReplica
 from repro.dht.scatter import ScatterNode
+from repro.store.kvstore import _LOW, KvStore
 
 DEMO_BUGS = (
     "quorum-off-by-one",
     "forgotten-promise",
     "repair-race",
     "stale-follower-read",
+    "session-forgets-open-op",
 )
 
 
@@ -76,12 +89,31 @@ def _skip_conflict_window(self, key) -> bool:
     return True  # "the prefix covers the frontier, what could be in flight?"
 
 
+_apply = KvStore.apply  # the real one, for an op without a token
+
+
+def _forgetful_apply(self, op, dedup=None):
+    # "Everything before this op is done with": a window of one, and no
+    # refusal below it.
+    if dedup is None:
+        return _apply(self, op)
+    client, seq, _low = dedup
+    session = self._sessions.get(client)
+    if session is not None and seq in session:
+        return session[seq]
+    result = self._execute(op)
+    self.ops_applied += 1
+    self._sessions[client] = {_LOW: seq, seq: result}
+    return result
+
+
 # name -> (class, attribute, replacement)
 _PATCHES = {
     "quorum-off-by-one": (PaxosReplica, "_majority", _buggy_majority),
     "forgotten-promise": (PaxosReplica, "_persist_promise", _forgotten_promise),
     "repair-race": (ScatterNode, "_repair_migrate_proc", _raced_repair_migrate),
     "stale-follower-read": (PaxosReplica, "_fr_conflict_free", _skip_conflict_window),
+    "session-forgets-open-op": (KvStore, "apply", _forgetful_apply),
 }
 
 

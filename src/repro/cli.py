@@ -389,8 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--seed", type=int, default=1,
                         help="master seed; iteration seeds derive from it")
     p_fuzz.add_argument("--demo-bug", default=None, metavar="NAME",
-                        help="inject a known bug (quorum-off-by-one, "
-                             "forgotten-promise) to prove the fuzzer finds it")
+                        help="inject a known bug, one of repro.check.demo.DEMO_BUGS "
+                             "(e.g. quorum-off-by-one), to prove the fuzzer finds it")
     p_fuzz.add_argument("--out-dir", default=".",
                         help="directory for repro-<seed>.json files")
     p_fuzz.add_argument("--no-shrink", action="store_true",

@@ -33,13 +33,14 @@ class ConfigChange:
 class Command:
     """A log entry value.
 
-    ``dedup`` is an optional (client_id, seq) pair: the state machine
-    layer uses it to make retried proposals idempotent.
+    ``dedup`` is an optional (client_id, seq, low) token, ``low`` the
+    client's acknowledgement watermark: the state machine layer uses it
+    to make retried proposals exactly-once.
     """
 
     kind: str
     payload: Any = None
-    dedup: tuple[str, int] | None = None
+    dedup: tuple[str, int, int] | None = None
 
     @staticmethod
     def noop() -> "Command":
@@ -50,5 +51,5 @@ class Command:
         return Command(kind=CMD_CONFIG, payload=ConfigChange(action, member))
 
     @staticmethod
-    def app(payload: Any, dedup: tuple[str, int] | None = None) -> "Command":
+    def app(payload: Any, dedup: tuple[str, int, int] | None = None) -> "Command":
         return Command(kind=CMD_APP, payload=payload, dedup=dedup)

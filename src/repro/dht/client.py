@@ -86,8 +86,10 @@ class ScatterClient(Node):
 
     Routing is iterative: the client asks the best node it knows of,
     follows ``not_leader`` / ``moved`` / ``redirect`` replies, and backs
-    off on ``busy``.  Mutations carry a (client, seq) dedup token so
-    retries are exactly-once.  ``seed_provider`` stands in for the
+    off on ``busy``.  Every op carries a (client, seq, low) dedup token
+    so retries are exactly-once; ``low`` is the client's acknowledgement
+    watermark, the lowest seq it has not yet had answered, below which
+    a store keeps no answers.  ``seed_provider`` stands in for the
     out-of-band bootstrap every DHT assumes (a well-known node list).
     """
 
@@ -108,6 +110,10 @@ class ScatterClient(Node):
         self._route_table: RingTable | None = None
         self.records: list[OpRecord] = []
         self._seq = 0
+        # Sequence numbers not yet answered, in issue order: seqs only
+        # grow, so the first key is the watermark.  An op closes its seq
+        # however it ends; one left open would pin the watermark.
+        self._open: dict[int, None] = {}
         self._rng = sim.rng(f"client:{client_id}")
         # round_robin read routing, per cached gid (deterministic, no
         # RNG): the rotation cursor, and the ops sent to the group's
@@ -140,7 +146,9 @@ class ScatterClient(Node):
     # ------------------------------------------------------------------
     def _run(self, op: KvOp) -> Future:
         self._seq += 1
-        dedup = (self.node_id, self._seq)
+        seq = self._seq
+        self._open[seq] = None
+        dedup = (self.node_id, seq, next(iter(self._open)))
         record = OpRecord(op=op.op, key=op.key, value=op.value, invoke_time=self.sim.now)
         self.records.append(record)
         future = spawn(self.sim, self._op_proc(op, dedup, record))
@@ -168,90 +176,93 @@ class ScatterClient(Node):
         return future
 
     def _op_proc(self, op: KvOp, dedup, record: OpRecord):
-        deadline = self.sim.now + self.config.op_timeout
-        # Backoff cursors, built on the op's first failure: most ops
-        # never pause, and a cursor draws from the RNG only in next().
-        net_retry: RetryState | None = None
-        busy_retry: RetryState | None = None
-        info = self._best_info(op.key)
-        target = info.leader_hint if info is not None else self._seed()
-        backups: list[str] = list(info.members) if info is not None else []
-        rotating = info is not None and self.config.read_routing == "round_robin"
-        if op.op == OP_GET and info is not None:
-            target = self._read_target(info) or target
-        elif rotating:
-            self._owe_leader(info)
-        visits: dict[str, int] = {}
-        while self.sim.now < deadline and record.hops < self.config.max_hops:
-            if target is None:
-                target = self._seed()
+        try:
+            deadline = self.sim.now + self.config.op_timeout
+            # Backoff cursors, built on the op's first failure: most ops
+            # never pause, and a cursor draws from the RNG only in next().
+            net_retry: RetryState | None = None
+            busy_retry: RetryState | None = None
+            info = self._best_info(op.key)
+            target = info.leader_hint if info is not None else self._seed()
+            backups: list[str] = list(info.members) if info is not None else []
+            rotating = info is not None and self.config.read_routing == "round_robin"
+            if op.op == OP_GET and info is not None:
+                target = self._read_target(info) or target
+            elif rotating:
+                self._owe_leader(info)
+            visits: dict[str, int] = {}
+            while self.sim.now < deadline and record.hops < self.config.max_hops:
                 if target is None:
-                    break
-            if visits.get(target, 0) >= 3:
-                # Two nodes pointing at each other with stale views can
-                # livelock an op; cap per-node visits and fall back to
-                # untried members / fresh seeds.
-                target = self._next_target(backups, exclude=target)
-                if target is None or visits.get(target, 0) >= 3:
                     target = self._seed()
-                    busy_retry = busy_retry or self._backoff(self.config.busy_backoff)
-                    yield _sleep(self.sim, busy_retry.next(), deadline)
-                continue
-            visits[target] = visits.get(target, 0) + 1
-            record.attempts += 1
-            try:
-                resp = yield self.request(
-                    target, ClientOpReq(op=op, dedup=dedup), timeout=self.config.rpc_timeout
-                )
-            except (RpcTimeout, RpcError):
-                # Decorrelated-jitter pause before the fallback target so
-                # clients stalled on the same dead node spread out instead
-                # of stampeding the next member in lockstep.
-                target = self._next_target(backups, exclude=target)
-                net_retry = net_retry or self._backoff(self.config.retry_base)
-                yield _sleep(self.sim, net_retry.next(), deadline)
-                continue
-            record.hops += 1
-            if net_retry is not None:
-                net_retry.reset()
-            for group in resp.groups:
-                self._learn(group)
-            if resp.status == "ok":
-                record.response_time = self.sim.now
-                record.result = resp.result
-                return resp.result
-            if resp.status == "not_leader":
-                if rotating and op.op == OP_GET:
-                    self._owe_leader(info)
-                target = resp.leader_hint or self._next_target(backups, exclude=target)
-                continue
-            if resp.status in ("moved", "redirect"):
-                nxt = self._closest(resp.groups, op.key) or self._best_info(op.key)
-                if nxt is not None:
-                    asked = target
-                    target, backups = nxt.leader_hint, list(nxt.members)
-                    if target == asked:
-                        # The responder redirected us back to itself:
-                        # stale knowledge somewhere.  Try another member,
-                        # and pause so fresher state can propagate.
-                        target = self._next_target(backups, exclude=asked)
+                    if target is None:
+                        break
+                if visits.get(target, 0) >= 3:
+                    # Two nodes pointing at each other with stale views can
+                    # livelock an op; cap per-node visits and fall back to
+                    # untried members / fresh seeds.
+                    target = self._next_target(backups, exclude=target)
+                    if target is None or visits.get(target, 0) >= 3:
+                        target = self._seed()
                         busy_retry = busy_retry or self._backoff(self.config.busy_backoff)
                         yield _sleep(self.sim, busy_retry.next(), deadline)
-                else:
-                    target = self._seed()
-                continue
-            if resp.status == "busy":
-                busy_retry = busy_retry or self._backoff(self.config.busy_backoff)
-                yield _sleep(self.sim, busy_retry.next(), deadline)
-                refreshed = self._best_info(op.key)
-                if refreshed is not None:
-                    target, backups = refreshed.leader_hint, list(refreshed.members)
-                continue
-            # "lost": this node knows nothing useful; re-seed.
-            target = self._seed()
-        record.response_time = self.sim.now
-        record.result = KvResult(ok=False, error="timeout")
-        return record.result
+                    continue
+                visits[target] = visits.get(target, 0) + 1
+                record.attempts += 1
+                try:
+                    resp = yield self.request(
+                        target, ClientOpReq(op=op, dedup=dedup), timeout=self.config.rpc_timeout
+                    )
+                except (RpcTimeout, RpcError):
+                    # Decorrelated-jitter pause before the fallback target so
+                    # clients stalled on the same dead node spread out instead
+                    # of stampeding the next member in lockstep.
+                    target = self._next_target(backups, exclude=target)
+                    net_retry = net_retry or self._backoff(self.config.retry_base)
+                    yield _sleep(self.sim, net_retry.next(), deadline)
+                    continue
+                record.hops += 1
+                if net_retry is not None:
+                    net_retry.reset()
+                for group in resp.groups:
+                    self._learn(group)
+                if resp.status == "ok":
+                    record.response_time = self.sim.now
+                    record.result = resp.result
+                    return resp.result
+                if resp.status == "not_leader":
+                    if rotating and op.op == OP_GET:
+                        self._owe_leader(info)
+                    target = resp.leader_hint or self._next_target(backups, exclude=target)
+                    continue
+                if resp.status in ("moved", "redirect"):
+                    nxt = self._closest(resp.groups, op.key) or self._best_info(op.key)
+                    if nxt is not None:
+                        asked = target
+                        target, backups = nxt.leader_hint, list(nxt.members)
+                        if target == asked:
+                            # The responder redirected us back to itself:
+                            # stale knowledge somewhere.  Try another member,
+                            # and pause so fresher state can propagate.
+                            target = self._next_target(backups, exclude=asked)
+                            busy_retry = busy_retry or self._backoff(self.config.busy_backoff)
+                            yield _sleep(self.sim, busy_retry.next(), deadline)
+                    else:
+                        target = self._seed()
+                    continue
+                if resp.status == "busy":
+                    busy_retry = busy_retry or self._backoff(self.config.busy_backoff)
+                    yield _sleep(self.sim, busy_retry.next(), deadline)
+                    refreshed = self._best_info(op.key)
+                    if refreshed is not None:
+                        target, backups = refreshed.leader_hint, list(refreshed.members)
+                    continue
+                # "lost": this node knows nothing useful; re-seed.
+                target = self._seed()
+            record.response_time = self.sim.now
+            record.result = KvResult(ok=False, error="timeout")
+            return record.result
+        finally:
+            del self._open[dedup[1]]
 
     def _backoff(self, base: float) -> RetryState:
         return RetryState(RetryPolicy(base=base, cap=self.config.retry_cap), self._rng)

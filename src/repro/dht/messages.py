@@ -27,7 +27,7 @@ class ClientOpReq:
     """
 
     op: KvOp
-    dedup: tuple[str, int] | None = None
+    dedup: tuple[str, int, int] | None = None
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,8 +8,14 @@ state of a freshly bootstrapped system).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
+
+try:
+    # CPython's built-in SHA-1: hashlib would map OpenSSL's libcrypto
+    # into the process (several MB of RSS) for this one digest.
+    from _sha1 import sha1
+except ImportError:  # pragma: no cover - interpreters without _sha1
+    from hashlib import sha1
 
 KEY_BITS = 32
 KEY_SPACE = 1 << KEY_BITS
@@ -17,7 +23,7 @@ KEY_SPACE = 1 << KEY_BITS
 
 def hash_key(name: str) -> int:
     """Map a user-visible string key onto the ring (stable across runs)."""
-    digest = hashlib.sha1(name.encode("utf-8")).digest()
+    digest = sha1(name.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % KEY_SPACE
 
 

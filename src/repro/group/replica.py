@@ -15,7 +15,7 @@ from repro.group.commands import TxnAbortCmd, TxnCommitCmd
 from repro.group.info import GroupGenesis, GroupInfo
 from repro.net.futures import Future
 from repro.obs.spans import GROUP_FOLLOWER_READ, GROUP_FREEZE
-from repro.store.kvstore import KvOp, KvResult, KvStore, OP_GET, RangeState
+from repro.store.kvstore import KvOp, KvResult, KvStore, OP_GET, RangeState, merge_sessions
 from repro.txn.spec import (
     MergeSpec,
     MigrateSpec,
@@ -164,7 +164,7 @@ class GroupReplica:
     # ------------------------------------------------------------------
     # Client operations (leader side)
     # ------------------------------------------------------------------
-    def client_op(self, op: KvOp, dedup: tuple[str, int] | None = None) -> KvResult | Future:
+    def client_op(self, op: KvOp, dedup: tuple[str, int, int] | None = None) -> KvResult | Future:
         """Execute a linearizable storage operation.
 
         Reads go through the leader lease when it is live; everything
@@ -673,5 +673,4 @@ def _absorb_into(target: RangeState, source: RangeState | None) -> None:
     if source is None:
         return
     target.cells.update(source.cells)
-    for client, seqs in source.sessions.items():
-        target.sessions.setdefault(client, {}).update(seqs)
+    merge_sessions(target.sessions, source.sessions)

@@ -875,10 +875,13 @@ def run_e13(quick: bool = True, seed: int = 13) -> ExperimentResult:
     result = ExperimentResult(
         experiment="E13",
         title="E13: cold-client lookup hops vs number of groups (gossip ablation)",
-        columns=["groups", "gossip", "mean_hops", "p99_hops", "mean_latency_ms"],
+        columns=["groups", "gossip", "mean_hops", "p99_hops", "mean_latency_ms", "capped"],
         notes=(
             "each lookup starts from a cold client at a random node; gossip "
-            "fills node routing caches, standing in for finger maintenance"
+            "fills node routing caches, standing in for finger maintenance; "
+            "mean_hops, p99_hops and mean_latency_ms cover answered lookups "
+            "only, capped counts the lookups left unanswered at the client's "
+            "max_hops"
         ),
     )
     group_counts = [4, 16] if quick else [4, 8, 16, 32, 64]
@@ -898,6 +901,7 @@ def run_e13(quick: bool = True, seed: int = 13) -> ExperimentResult:
             rng = sim.rng("e13")
             hops = []
             latencies = []
+            capped = 0
             for i in range(lookups):
                 client = ScatterClient(
                     f"cold{n_groups}-{gossip}-{i}", sim, net,
@@ -909,12 +913,15 @@ def run_e13(quick: bool = True, seed: int = 13) -> ExperimentResult:
                 if record.completed:
                     hops.append(record.hops)
                     latencies.append(record.latency)
+                elif record.hops >= client.config.max_hops:
+                    capped += 1
             result.add(
                 groups=n_groups,
                 gossip=gossip,
                 mean_hops=mean(hops),
                 p99_hops=percentile(hops, 99),
                 mean_latency_ms=1000 * mean(latencies),
+                capped=capped,
             )
     return result
 

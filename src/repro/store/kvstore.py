@@ -58,6 +58,14 @@ class KvResult:
 
 # Every miss, from any store: a result is never mutated, so one will do.
 NOT_FOUND = KvResult(ok=False, error="not_found")
+# The refusal of a sequence number below its client's watermark.  It can
+# only reach an RPC nobody waits on: the client has already taken an
+# answer for that op, or given up on it.
+STALE = KvResult(ok=False, error="stale")
+
+# A client session is one dict: this key holds the client's watermark
+# (sequence numbers start at 1), every other key an answer at or above it.
+_LOW = 0
 
 
 @dataclass(slots=True)
@@ -83,10 +91,31 @@ class RangeState:
     sessions: dict[str, dict[int, Any]] = field(default_factory=dict)
 
 
-# How many recent (client, seq) results to retain per client.  Retries of
-# an operation happen within seconds; a window this size outlives them by
-# orders of magnitude while bounding memory.
-SESSION_WINDOW = 128
+def _raised(session: dict[int, Any], low: int) -> dict[int, Any]:
+    """``session`` with its watermark raised to ``low``: a new dict,
+    without the answers below it (cheaper than deleting them in place,
+    which leaves the small dict to compact on a later insert)."""
+    raised = {_LOW: low}
+    for seq in session:
+        if seq >= low:
+            raised[seq] = session[seq]
+    return raised
+
+
+def merge_sessions(target: dict[str, dict[int, Any]], source: dict[str, dict[int, Any]]) -> None:
+    """Merge ``source``'s client sessions into ``target`` (which owns its
+    dicts; ``source``'s are copied, never shared).
+
+    Per client the larger watermark wins and the answers below it go.
+    The same (client, seq) always maps to the same answer, so the union
+    of the rest is safe.
+    """
+    for client, theirs in source.items():
+        mine = target.get(client)
+        if mine is None:
+            target[client] = dict(theirs)
+        else:
+            target[client] = _raised({**mine, **theirs}, max(mine[_LOW], theirs[_LOW]))
 
 
 class KvStore:
@@ -94,10 +123,11 @@ class KvStore:
 
     def __init__(self) -> None:
         self._cells: dict[int, _Cell] = {}
-        # client_id -> {seq: result}: exactly-once for retried operations.
-        # Exact-match (not a watermark) because one client may have many
-        # operations in flight, arriving at this shard in any order.
-        self._sessions: dict[str, dict[int, KvResult]] = {}
+        # client_id -> {_LOW: watermark, seq: answer, ...}: exactly-once
+        # for retried operations.  One client may have many operations
+        # in flight, arriving at this shard in any order, so the answers
+        # at or above the watermark are kept by exact sequence number.
+        self._sessions: dict[str, dict[int, Any]] = {}
         # version -> the ack for a put, delete or CAS that left (or
         # found) the key at that version.  Per store, so what a run
         # retains does not depend on what the process ran before.
@@ -107,24 +137,34 @@ class KvStore:
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
-    def apply(self, op: KvOp, dedup: tuple[str, int] | None = None) -> KvResult:
-        """Apply ``op``; with ``dedup=(client, seq)`` retries are idempotent."""
-        if dedup is not None:
-            client, seq = dedup
-            session = self._sessions.get(client)
-            if session is not None and seq in session:
-                return session[seq]
+    def apply(self, op: KvOp, dedup: tuple[str, int, int] | None = None) -> KvResult:
+        """Apply ``op``; with ``dedup=(client, seq, low)`` exactly once.
+
+        A ``seq`` already answered returns its stored answer; one below
+        the client's watermark returns :data:`STALE` and changes nothing.
+        Otherwise the op runs, its answer is kept, and a ``low`` above
+        the stored watermark raises it, dropping the answers below.
+        """
+        if dedup is None:
+            result = self._execute(op)
+            self.ops_applied += 1
+            return result
+        client, seq, low = dedup
+        session = self._sessions.get(client)
+        if session is None:
+            session = self._sessions[client] = {_LOW: low}
+        else:
+            answer = session.get(seq)
+            if answer is not None:
+                return answer
+            mark = session[_LOW]
+            if seq < mark:
+                return STALE
+            if low > mark:
+                session = self._sessions[client] = _raised(session, low)
         result = self._execute(op)
         self.ops_applied += 1
-        if dedup is not None:
-            client, seq = dedup
-            session = self._sessions.setdefault(client, {})
-            session[seq] = result
-            # Smallest sequence number first (they arrive out of order).
-            # One over the window in steady state, so one min() per op;
-            # more only right after absorb() merged two sessions.
-            while len(session) > SESSION_WINDOW:
-                del session[min(session)]
+        session[seq] = result
         return result
 
     def _ack(self, version: int) -> KvResult:
@@ -184,7 +224,8 @@ class KvStore:
 
         Client sessions are copied (not moved): a client may have
         operations on both sides of a split, and duplicate session
-        entries are harmless — they only suppress replays.
+        entries are harmless — they only suppress replays and refuse
+        what is below a watermark.
         """
         state = RangeState()
         for key in keys:
@@ -197,13 +238,11 @@ class KvStore:
     def absorb(self, state: RangeState) -> None:
         """Install a range state produced by :meth:`extract`.
 
-        Session entries merge by union; the same (client, seq) always
-        maps to the same result, so collisions are harmless.
+        Sessions merge by :func:`merge_sessions`.
         """
         for key, (value, version) in state.cells.items():
             self._cells[key] = _Cell(value=value, version=version)
-        for client, seqs in state.sessions.items():
-            self._sessions.setdefault(client, {}).update(seqs)
+        merge_sessions(self._sessions, state.sessions)
 
     def snapshot(self) -> RangeState:
         """Full copy of the store (bootstrap state for new group members)."""

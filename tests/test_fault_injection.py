@@ -25,6 +25,7 @@ from repro.dht.system import ScatterSystem
 from repro.group.replica import GroupStatus
 from repro.policies import ScatterPolicy
 from repro.sim import ConstantLatency, LogNormalLatency, SimNetwork, Simulator
+from repro.store.kvstore import STALE, KvStore
 from repro.workloads import UniformKeys
 from repro.workloads.driver import ClosedLoopWorkload
 
@@ -238,4 +239,38 @@ class TestDuplicateDelivery:
             f"version {result.version} != {n_puts}: a duplicate applied twice"
         )
         check = check_history(client.records)
+        assert check.violations == [], [v.detail for v in check.violations[:3]]
+
+    def test_no_live_op_resolves_stale(self, monkeypatch):
+        """A duplicate that reaches a store after its client's watermark
+        has passed it is refused with ``STALE``; that refusal goes to an
+        RPC nobody waits on, so no op's answer is ever ``STALE``.  Every
+        op closes its seq, answered or timed out."""
+        refused = []
+        apply = KvStore.apply
+
+        def counting_apply(store, op, dedup=None):
+            result = apply(store, op, dedup)
+            if result is STALE:
+                refused.append(dedup)
+            return result
+
+        monkeypatch.setattr(KvStore, "apply", counting_apply)
+        sim = Simulator(seed=5)
+        net = SimNetwork(sim, latency=LogNormalLatency(0.004, 0.8), dup_prob=0.25)
+        system = ScatterSystem.build(sim, net, n_nodes=9, n_groups=3, config=fast_config())
+        sim.run_for(2.0)
+        clients = [make_client(sim, net, system, f"c{i}") for i in range(4)]
+        workload = ClosedLoopWorkload(sim, clients, UniformKeys(50), read_fraction=0.3)
+        workload.start()
+        sim.run_for(20.0)
+        workload.stop()
+        sim.run_for(10.0)
+        records = workload.all_records()
+        assert len(records) > 1000
+        assert refused, "no duplicate arrived below its client's watermark"
+        assert all(record.response_time >= 0 for record in records)
+        assert [r for r in records if r.result == STALE] == []
+        assert [client._open for client in clients] == [{}] * len(clients)
+        check = check_history(records)
         assert check.violations == [], [v.detail for v in check.violations[:3]]

@@ -476,7 +476,7 @@ class TestSynchronousAnswers:
             get = KvOp(OP_GET, self.KEY)
             assert leader.client_op(get) == KvResult(ok=False, error="not_found")
             assert follower.follower_read(get) == KvResult(ok=False, error="not_found")
-            put = leader.client_op(KvOp(OP_PUT, self.KEY, "v"), ("c", 1))
+            put = leader.client_op(KvOp(OP_PUT, self.KEY, "v"), ("c", 1, 1))
             assert isinstance(put, Future) and not put.done
             sim.run_for(0.2)
             assert put.result() == KvResult(ok=True, version=1)

@@ -106,6 +106,28 @@ def test_finished_op_footprint_is_a_count(read_fraction):
     assert counts["tracked_objects_per_op"] <= OP_FOOTPRINT_CEILING
 
 
+def test_a_store_keeps_one_answer_per_closed_loop_client():
+    """After a ``op_footprint`` window every replica's store holds, per
+    client, its watermark and at most one answer: a closed-loop client
+    has one op open, so nothing it can still ask for is older."""
+    deployment, _ = op_footprint(0.1, 5.0)
+    clients = {client.node_id for client in deployment.clients}
+    stores = [
+        replica.store
+        for node in deployment.system.nodes.values()
+        for replica in node.groups.values()
+    ]
+    assert len(stores) == 30
+    answers = []
+    for store in stores:
+        assert set(store._sessions) <= clients
+        answers.extend(len(session) - 1 for session in store._sessions.values())
+    # Every client reached every group: 8 sessions in each of 30 stores,
+    # one answer each (8,375 answers in all while a session kept a
+    # window of its client's last 128).
+    assert answers == [1] * 240
+
+
 def short_op_footprint() -> dict:
     """A 5 simulated-second ``op_footprint`` window: its history
     fingerprint and its exact per-op count."""

@@ -7,6 +7,9 @@ from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 STACK = Path(__file__).resolve().parent.parent / "benchmarks" / "ledger" / "stack.py"
@@ -36,3 +39,26 @@ def test_every_name_the_ledger_imports_from_repro_exists():
         if name is not None and not hasattr(imported, name):
             missing.append(f"from {module} import {name}")
     assert not missing, missing
+
+
+def test_the_ledgers_imports_leave_openssl_unloaded():
+    """``hash_key`` uses CPython's built-in SHA-1: ``hashlib`` would map
+    OpenSSL's libcrypto into every ledger worker, several MB of RSS."""
+    modules = set()
+    for node in ast.walk(ast.parse(STACK.read_text())):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module != "__future__":
+            modules.add(node.module)
+    assert {"repro.dht.ring", "repro.harness.builders", "ledger"} <= modules
+    src = STACK.parent.parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(STACK.parent)]))
+    code = (
+        "import importlib, sys\n"
+        f"for name in {sorted(modules)!r}:\n"
+        "    importlib.import_module(name)\n"
+        "print('_hashlib' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "False"

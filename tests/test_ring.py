@@ -21,6 +21,15 @@ class TestHashKey:
         hashes = {hash_key(f"key-{i}") for i in range(1000)}
         assert len(hashes) == 1000  # no collisions in a small sample
 
+    def test_matches_hashlib_sha1(self):
+        # The built-in SHA-1 hash_key uses must be the digest hashlib gives.
+        import hashlib
+
+        for i in range(10_000):
+            name = f"user:{i}:\u00e9"
+            digest = hashlib.sha1(name.encode("utf-8")).digest()
+            assert hash_key(name) == int.from_bytes(digest[:8], "big") % KEY_SPACE
+
 
 class TestRingDistance:
     def test_forward(self):
