@@ -1,21 +1,25 @@
 #!/usr/bin/env python3
-"""A/B one perf-ledger workload: the working tree against a git revision.
+"""A/B perf-ledger workloads: the working tree against a git revision.
 
-    python scripts/ab.py REV --workload W [--pairs N] [--seed S] [--seconds T]
+    python scripts/ab.py REV [--workload W ...] [--pairs N] [--seed S] [--seconds T]
 
 ``git archive REV src benchmarks/ledger`` is unpacked into a temporary
 directory, and ``benchmarks/ledger/run.py --workload W --trace 0`` runs
 in pairs, once from the working tree and once from that copy, each run
 in a fresh interpreter; the side that goes first alternates from pair
-to pair, so drift on the host falls on both.  For every end-to-end
-metric in BENCHMARK.json the script prints each pair's ratio (working
-tree / REV), the median ratio, how many pairs the working tree won and
-each side's median value, then both simulation fingerprints.
+to pair, so drift on the host falls on both.  ``--workload`` may be
+given more than once; without it every workload in BENCHMARK.json runs.
+For each workload and every end-to-end metric in BENCHMARK.json the
+script prints each pair's ratio (working tree / REV), the median ratio,
+how many pairs the working tree won and each side's median value; a
+table of both sides' simulation fingerprints per workload ends the
+output.
 
-Exit status: 0 when the fingerprints are equal, 1 when they differ,
-2 when a run fails or REV cannot be archived.  Nothing is written
-under ``benchmarks/`` (bar the interpreter's own ``__pycache__``): the
-copy and the runs' JSON live in a temporary directory, removed on exit.
+Exit status: 0 when every workload's fingerprints are equal, 1 when any
+differ, 2 when a run fails or REV cannot be archived.  Nothing is
+written under ``benchmarks/`` (bar the interpreter's own
+``__pycache__``): the copy and the runs' JSON live in a temporary
+directory, removed on exit.
 """
 
 from __future__ import annotations
@@ -65,17 +69,42 @@ def run_once(root: str, workload: str, seed: int, seconds: float, out: str) -> d
     }
 
 
+def report(rev: str, workload: str, args: argparse.Namespace, metrics: list[dict],
+           runs: dict[str, list[dict]]) -> None:
+    """Print one workload's block: per-metric pair ratios, wins and medians."""
+    print(f"ab: working tree vs {rev} on {workload}, seed {args.seed}, "
+          f"{args.seconds:g} s, {args.pairs} pair(s); ratio = working tree / {rev}")
+    for m in metrics:
+        name, lower = m["name"], m["better"] == "lower"
+        ratios, wins = [], 0
+        for new, old in zip(runs["new"], runs["old"]):
+            a, b = new["metrics"][name], old["metrics"][name]
+            ratios.append(a / b if b else float("nan"))
+            wins += a < b if lower else a > b
+        medians = [statistics.median(r["metrics"][name] for r in runs[side]) for side in runs]
+        print(f"  {name:18s} {m['better']:6s} "
+              + " ".join(f"{r:6.3f}" for r in ratios)
+              + f"  median {statistics.median(ratios):6.3f}  wins {wins}/{args.pairs}"
+              + f"  ({medians[0]:.4g} vs {medians[1]:.4g} {m['unit']})")
+    failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
+    print(f"  failed ops: working tree {failed['new']}, {rev} {failed['old']}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="git revision to compare against, e.g. HEAD~1")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append",
+                        help="a workload to run; repeatable (default: every workload)")
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=8.0)
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        metrics = json.load(f)["end_to_end"]
+        bench = json.load(f)
+    metrics = bench["end_to_end"]
+    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    prints: dict[str, dict[str, list[str]]] = {}
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         base = os.path.join(tmp, "rev")
         os.mkdir(base)
@@ -85,39 +114,31 @@ def main(argv: list[str] | None = None) -> int:
             print(f"ab.py: cannot archive {args.rev}: {exc}", file=sys.stderr)
             return 2
         sides = {"new": ROOT, "old": base}
-        runs: dict[str, list[dict]] = {"new": [], "old": []}
-        for pair in range(args.pairs):
-            order = ("new", "old") if pair % 2 == 0 else ("old", "new")
-            for side in order:
-                out = os.path.join(tmp, f"{side}-{pair}.json")
-                try:
-                    runs[side].append(run_once(sides[side], args.workload, args.seed,
-                                               args.seconds, out))
-                except RuntimeError as exc:
-                    print(f"ab.py: {exc}", file=sys.stderr)
-                    return 2
+        for workload in workloads:
+            runs: dict[str, list[dict]] = {"new": [], "old": []}
+            for pair in range(args.pairs):
+                order = ("new", "old") if pair % 2 == 0 else ("old", "new")
+                for side in order:
+                    out = os.path.join(tmp, f"{workload}-{side}-{pair}.json")
+                    try:
+                        runs[side].append(run_once(sides[side], workload, args.seed,
+                                                   args.seconds, out))
+                    except RuntimeError as exc:
+                        print(f"ab.py: {exc}", file=sys.stderr)
+                        return 2
+            report(args.rev, workload, args, metrics, runs)
+            prints[workload] = {side: sorted({r["fingerprint"] for r in rs})
+                                for side, rs in runs.items()}
 
-    print(f"ab: working tree vs {args.rev} on {args.workload}, seed {args.seed}, "
-          f"{args.seconds:g} s, {args.pairs} pair(s); ratio = working tree / {args.rev}")
-    for m in metrics:
-        name, lower = m["name"], m["better"] == "lower"
-        ratios, wins = [], 0
-        for new, old in zip(runs["new"], runs["old"]):
-            a, b = new["metrics"][name], old["metrics"][name]
-            ratios.append(a / b if b else float("nan"))
-            wins += a < b if lower else a > b
-        medians = [statistics.median(r["metrics"][name] for r in runs[side]) for side in sides]
-        print(f"  {name:18s} {m['better']:6s} "
-              + " ".join(f"{r:6.3f}" for r in ratios)
-              + f"  median {statistics.median(ratios):6.3f}  wins {wins}/{args.pairs}"
-              + f"  ({medians[0]:.4g} vs {medians[1]:.4g} {m['unit']})")
-    failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
-    print(f"  failed ops: working tree {failed['new']}, {args.rev} {failed['old']}")
-    prints = {side: sorted({r["fingerprint"] for r in rs}) for side, rs in runs.items()}
-    same = prints["new"] == prints["old"] and len(prints["new"]) == 1
-    print(f"  fingerprint: working tree {' '.join(prints['new'])}, {args.rev} "
-          f"{' '.join(prints['old'])} -> {'equal' if same else 'DIFFER'}")
-    return 0 if same else 1
+    print(f"fingerprints: working tree vs {args.rev}")
+    differ = 0
+    for workload, p in prints.items():
+        same = p["new"] == p["old"] and len(p["new"]) == 1
+        differ += not same
+        print(f"  {workload:14s} {' '.join(p['new']):>18s}  {' '.join(p['old']):>18s}  "
+              f"{'equal' if same else 'DIFFER'}")
+    print(f"  {len(prints) - differ} equal, {differ} differ -> {'DIFFER' if differ else 'equal'}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

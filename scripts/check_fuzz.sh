@@ -14,7 +14,9 @@
 #     skips the 2PC heals the roster but not the replication);
 #     stale-follower-read skips the follower's conflict-window check
 #     on follower_reads plans, and the linearizability checker flags
-#     the resulting stale Gets.
+#     the resulting stale Gets; refusal-as-answer hands an op refused
+#     at apply to the client as an answer, and the checker flags it as
+#     client_contract.
 #
 # A node_loss_storm nemesis run rides along as a third gate: permanent
 # losses under live load must end recovered with zero violations.
@@ -75,6 +77,7 @@ run_canary quorum-off-by-one 1 "$CANARY_ITERS"
 run_canary forgotten-promise 42 "$CANARY_ITERS"
 run_canary repair-race 29 "$CANARY_ITERS"
 run_canary stale-follower-read 11 "$CANARY_ITERS"
+run_canary refusal-as-answer 11 "$CANARY_ITERS"
 
 echo "== nemesis: node_loss_storm, expecting recovery with no violations =="
 timeout 120 python -m repro nemesis node_loss_storm --duration 30

@@ -15,6 +15,13 @@ Two checkers are provided:
 Histories come from client :class:`~repro.dht.client.OpRecord` lists.
 An operation that timed out is *pending*: it may or may not have taken
 effect, so its write value is legal to read but never required.
+
+A completed op ends in a value, an ack, a miss (``error="not_found"``)
+or a CAS ``conflict``; a refusal is a reason to retry, never an answer
+(see :class:`~repro.dht.messages.ClientOpResp`).  A completed op of any
+kind that carries another error is a ``client_contract`` violation, and
+its effect is unknown: a refused put stays a pending write, a refused
+get constrains nothing.
 """
 
 from __future__ import annotations
@@ -23,6 +30,9 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 NOT_FOUND = "__not_found__"
+
+# The errors a completed op may answer with; any other is a refusal.
+_ANSWER_ERRORS = ("not_found", "conflict")
 
 
 @dataclass
@@ -65,10 +75,14 @@ class CheckResult:
         return len(self.violations) / self.total_reads
 
 
-def _partition(records: Iterable) -> tuple[list[_Write], list[_Read]]:
+def _partition(records: Iterable) -> tuple[list[_Write], list[_Read], list]:
     writes: list[_Write] = []
     reads: list[_Read] = []
+    refused: list = []  # completed ops answered with a refusal
     for r in records:
+        refusal = r.completed and not r.result.ok and r.result.error not in _ANSWER_ERRORS
+        if refusal:
+            refused.append(r)
         if r.op == "put":
             # A put with no result yet (still in flight when the run
             # ended) or a timed-out put may nevertheless have been
@@ -81,11 +95,11 @@ def _partition(records: Iterable) -> tuple[list[_Write], list[_Read]]:
             end = r.response_time if acked and r.response_time >= 0 else float("inf")
             writes.append(_Write(r.value, r.invoke_time, end, acked))
         elif r.op == "get":
-            if not r.completed or r.result is None:
-                continue  # a timed-out or unresolved read constrains nothing
+            if not r.completed or refusal:
+                continue  # a timed-out, unresolved or refused read constrains nothing
             value = r.result.value if r.result.ok else NOT_FOUND
             reads.append(_Read(value, r.invoke_time, r.response_time))
-    return writes, reads
+    return writes, reads, refused
 
 
 def check_key_history(
@@ -93,15 +107,21 @@ def check_key_history(
 ) -> CheckResult:
     """Fast sound checker for one key's history (unique write values).
 
-    ``window`` restricts which *reads* are judged (and counted); writes
-    are always taken from the full history — a read inside the window may
-    legitimately return a value written before it.
+    ``window`` restricts which *reads* are judged (and counted) and
+    which answers are held to the contract; writes are always taken
+    from the full history — a read inside the window may legitimately
+    return a value written before it.
     """
-    writes, reads = _partition(records)
+    writes, reads, refused = _partition(records)
     if window is not None:
         lo, hi = window
         reads = [r for r in reads if lo <= r.invoke < hi]
+        refused = [r for r in refused if lo <= r.invoke_time < hi]
     result = CheckResult(total_reads=len(reads), total_writes=len(writes))
+    for r in refused:
+        result.violations.append(
+            Violation(key, "client_contract", f"{r.op} answered {r.result.error!r}", r.invoke_time)
+        )
     by_value = {w.value: w for w in writes}
 
     for read in reads:

@@ -43,6 +43,14 @@ the duration of a ``with`` block:
   put landing twice is visible only if a write to the same key and a
   read fall in between: no fuzz campaign has caught it within the
   canary budget.  The session model in ``tests/test_kvstore.py`` does.
+- ``refusal-as-answer`` plants back the wrapper that once lost a write:
+  an op refused at apply (its group froze or retired after the op was
+  proposed) reaches the client as ``status="ok"`` carrying
+  ``KvResult(ok=False, error="busy")`` instead of as a ``busy`` or
+  ``redirect`` status.  The client takes it as final; the
+  linearizability checker flags it as ``client_contract``.  Only bites
+  when a group operation freezes or retires a group with client ops in
+  its log.
 
 The patch is applied at class level inside the context manager and
 always restored, so production code paths never see it; nothing outside
@@ -57,8 +65,9 @@ from contextlib import contextmanager
 
 from repro.consensus.commands import Command
 from repro.consensus.replica import PaxosReplica
+from repro.dht.messages import ClientOpResp
 from repro.dht.scatter import ScatterNode
-from repro.store.kvstore import _LOW, KvStore
+from repro.store.kvstore import _LOW, KvResult, KvStore
 
 DEMO_BUGS = (
     "quorum-off-by-one",
@@ -66,6 +75,7 @@ DEMO_BUGS = (
     "repair-race",
     "stale-follower-read",
     "session-forgets-open-op",
+    "refusal-as-answer",
 )
 
 
@@ -107,6 +117,16 @@ def _forgetful_apply(self, op, dedup=None):
     return result
 
 
+_client_result_to_resp = ScatterNode._client_result_to_resp  # the real one
+
+
+def _refusal_as_answer(self, future):
+    # "The op came back from the log, so it has an answer."
+    if future.exception is None and isinstance(future.result(), str):
+        return ClientOpResp(status="ok", result=KvResult(ok=False, error=future.result()))
+    return _client_result_to_resp(self, future)
+
+
 # name -> (class, attribute, replacement)
 _PATCHES = {
     "quorum-off-by-one": (PaxosReplica, "_majority", _buggy_majority),
@@ -114,6 +134,7 @@ _PATCHES = {
     "repair-race": (ScatterNode, "_repair_migrate_proc", _raced_repair_migrate),
     "stale-follower-read": (PaxosReplica, "_fr_conflict_free", _skip_conflict_window),
     "session-forgets-open-op": (KvStore, "apply", _forgetful_apply),
+    "refusal-as-answer": (ScatterNode, "_client_result_to_resp", _refusal_as_answer),
 }
 
 

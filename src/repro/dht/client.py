@@ -85,12 +85,16 @@ class ScatterClient(Node):
     """Issues linearizable get/put/delete/cas against the overlay.
 
     Routing is iterative: the client asks the best node it knows of,
-    follows ``not_leader`` / ``moved`` / ``redirect`` replies, and backs
-    off on ``busy``.  Every op carries a (client, seq, low) dedup token
-    so retries are exactly-once; ``low`` is the client's acknowledgement
-    watermark, the lowest seq it has not yet had answered, below which
-    a store keeps no answers.  ``seed_provider`` stands in for the
-    out-of-band bootstrap every DHT assumes (a well-known node list).
+    follows ``not_leader`` and ``redirect`` replies, backs off on
+    ``busy`` and re-seeds on ``lost``.  Only ``ok`` ends an op before
+    its deadline, with a value, a miss, an ack or a CAS conflict (see
+    :class:`~repro.dht.messages.ClientOpResp`); past the deadline the
+    op ends in the client's own ``timeout``.  Every op carries a
+    (client, seq, low) dedup token so retries are exactly-once; ``low``
+    is the client's acknowledgement watermark, the lowest seq it has
+    not yet had answered, below which a store keeps no answers.
+    ``seed_provider`` stands in for the out-of-band bootstrap every DHT
+    assumes (a well-known node list).
     """
 
     def __init__(
@@ -234,7 +238,7 @@ class ScatterClient(Node):
                         self._owe_leader(info)
                     target = resp.leader_hint or self._next_target(backups, exclude=target)
                     continue
-                if resp.status in ("moved", "redirect"):
+                if resp.status == "redirect":
                     nxt = self._closest(resp.groups, op.key) or self._best_info(op.key)
                     if nxt is not None:
                         asked = target

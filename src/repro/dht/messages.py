@@ -34,16 +34,23 @@ class ClientOpReq:
 class ClientOpResp:
     """Reply to a client operation.
 
-    ``status`` is one of:
+    Only the serving node decides whether an op is refused, and a
+    refusal is always a ``status``, never a ``result``.  ``status`` is
+    one of:
 
-    - ``ok`` — ``result`` holds the outcome.
+    - ``ok`` — the op's answer: ``result`` holds a value, a miss
+      (``error="not_found"``), a write's ack or a CAS ``conflict``.
     - ``not_leader`` — retry at ``leader_hint`` (same group).
-    - ``moved`` — the owning group was replaced; ``groups`` holds its
-      successors (from the retired group's forwarding pointers).
-    - ``busy`` — the group is locked by a group operation; back off.
-    - ``redirect`` — this node does not own the key; ``groups`` holds
-      the best next hops it knows.
+    - ``busy`` — the group is locked by a group operation, or the op
+      was refused at apply because it froze meanwhile; back off.
+    - ``redirect`` — no active group on this node owns the key (it may
+      have been split, merged or migrated away, or the op was refused
+      at apply because its group retired meanwhile); ``groups`` holds
+      the best next hops this node knows.
     - ``lost`` — this node knows of no route (rare; client re-seeds).
+
+    A refused op changed nothing, so the client's retry is applied
+    exactly once.
     """
 
     status: str

@@ -296,19 +296,15 @@ class ScatterNode(Node):
 
     def _serve_client_op_now(self, src: str, msg: ClientOpReq) -> Any:
         key = msg.op.key
-        # Active groups take precedence: after a split, the retired group
-        # and its replacement both contain the key on this host.
+        # Retired groups linger in self.groups and never serve: after a
+        # split, the retired group and its replacement both contain the
+        # key on this host.
         replica = None
         for hosted in self.groups.values():
-            if hosted.range.contains(key):
-                if hosted.status is not GroupStatus.RETIRED:
-                    replica = hosted
-                    break
-                if replica is None:
-                    replica = hosted
+            if hosted.status is not GroupStatus.RETIRED and hosted.range.contains(key):
+                replica = hosted
+                break
         if replica is not None:
-            if replica.status is GroupStatus.RETIRED:
-                return ClientOpResp(status="moved", groups=replica.forwarding)
             if replica.status is GroupStatus.FROZEN:
                 return ClientOpResp(status="busy")
             if not replica.is_leader:
@@ -324,13 +320,12 @@ class ScatterNode(Node):
                     leader_hint=replica.paxos.leader_hint,
                     groups=(replica.info(),),
                 )
-            # An answer known now (a lease read, a refusal) comes back
-            # as a value; only an op that waits on the log is a Future.
+            # A lease read is answered now; an op that waits on the log
+            # is a Future.
             result = replica.client_op(msg.op, msg.dedup)
             if isinstance(result, Future):
                 return _map_future(result, self._client_result_to_resp)
             return ClientOpResp(status="ok", result=result)
-        # Retired groups linger in self.groups; if none matched, redirect.
         candidates = self._redirect_candidates(key)
         if not candidates:
             return ClientOpResp(status="lost")
@@ -339,7 +334,10 @@ class ScatterNode(Node):
     def _client_result_to_resp(self, future: Future) -> ClientOpResp:
         exc = future.exception
         if exc is None:
-            return ClientOpResp(status="ok", result=future.result())
+            result = future.result()
+            if isinstance(result, str):  # refused at apply: "busy" or "redirect"
+                return ClientOpResp(status=result)
+            return ClientOpResp(status="ok", result=result)
         if isinstance(exc, NotLeader):
             return ClientOpResp(status="not_leader", leader_hint=exc.leader_hint)
         return ClientOpResp(status="busy")  # ProposalLost etc: client retries

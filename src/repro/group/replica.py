@@ -28,11 +28,6 @@ from repro.txn.spec import (
 
 _NO_KEYS: frozenset = frozenset()
 
-# Refusals of a storage op: immutable, so every refused op shares one.
-_MOVED = KvResult(ok=False, error="moved")
-_BUSY = KvResult(ok=False, error="busy")
-_WRONG_GROUP = KvResult(ok=False, error="wrong_group")
-
 
 class GroupStatus(enum.Enum):
     """Lifecycle of a group replica's storage state."""
@@ -167,19 +162,13 @@ class GroupReplica:
     def client_op(self, op: KvOp, dedup: tuple[str, int, int] | None = None) -> KvResult | Future:
         """Execute a linearizable storage operation.
 
-        Reads go through the leader lease when it is live; everything
-        else is replicated through the log.  An answer known on the spot
-        (a lease read, or a protocol-level refusal as an ``ok=False``
-        result with an ``error`` the client can act on) is returned as a
-        :class:`KvResult`; only an op that waits on the log returns a
-        :class:`Future` of one.
+        The hosting node has already checked that this replica is
+        active and owns ``op.key``.  Reads go through the leader lease
+        when it is live and are answered on the spot as a
+        :class:`KvResult`; everything else is replicated through the log
+        and returns a :class:`Future` of what :meth:`_apply_storage`
+        returns when its slot applies.
         """
-        if self.status is GroupStatus.RETIRED:
-            return _MOVED
-        if self.status is GroupStatus.FROZEN:
-            return _BUSY
-        if not self.range.contains(op.key):
-            return _WRONG_GROUP
         self.load[op.key] += 1
         tracer = self.tracer
         if tracer is not None:
@@ -351,11 +340,15 @@ class GroupReplica:
             self.epoch += 1
         return None  # noop
 
-    def _apply_storage(self, command: Command) -> KvResult:
+    def _apply_storage(self, command: Command) -> KvResult | str:
+        # A group that froze or retired between proposal and apply
+        # refuses the op with the client status for it, and leaves the
+        # store untouched: the retry applies once, here after the thaw
+        # or at a successor.
         if self.status is GroupStatus.RETIRED:
-            return _MOVED
+            return "redirect"
         if self.status is GroupStatus.FROZEN:
-            return _BUSY
+            return "busy"
         return self.store.apply(command.payload, dedup=command.dedup)
 
     # -------------------------- prepare ------------------------------

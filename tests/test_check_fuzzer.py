@@ -206,6 +206,35 @@ class TestRepairRaceCanary:
         assert observed.name == recorded.name == "replication-floor"
 
 
+class TestRefusalCanary:
+    """The refusal-as-answer demo bug: a refusal reaches the client as
+    an answer.
+
+    An op refused at apply (its group froze for a group operation after
+    the op was proposed) comes back as ``status="ok"`` with a ``busy``
+    result, the client takes it as final, and the checker flags the
+    completed op as ``client_contract``.
+    """
+
+    def test_found_shrunk_and_replayed(self, tmp_path):
+        summary = run_fuzz(
+            FuzzConfig(
+                master_seed=11,
+                iterations=5,
+                bug="refusal-as-answer",
+                out_dir=str(tmp_path),
+            )
+        )
+        assert summary.found
+        assert summary.failure.kind == "linearizability"
+        assert summary.failure.name == "client_contract"
+        assert summary.shrink["ops_after"] < summary.shrink["ops_before"]
+        data = load_repro(summary.repro_path)
+        reproduced, observed, recorded = replay(data)
+        assert reproduced, f"replay diverged: observed={observed} recorded={recorded}"
+        assert observed.name == recorded.name == "client_contract"
+
+
 class TestCli:
     def test_clean_fuzz_exits_zero_with_summary(self, tmp_path):
         proc = subprocess.run(

@@ -3,11 +3,13 @@
 import pytest
 
 from repro.dht.client import ScatterClient
+from repro.dht.messages import ClientOpReq
 from repro.dht.ring import KEY_SPACE, hash_key
 from repro.dht.system import ScatterSystem
 from repro.group.replica import GroupStatus
 from repro.policies import ScatterPolicy
 from repro.sim import ConstantLatency, SimNetwork, Simulator
+from repro.store.kvstore import OP_GET, KvOp
 
 from test_scatter_basic import fast_config, make_client
 
@@ -82,6 +84,25 @@ class TestSplit:
                 assert g.predecessor.gid != gid
             if g.successor is not None:
                 assert g.successor.gid != gid
+
+    def test_key_held_only_by_retired_replica_redirects(self):
+        sim, net, system = build_manual(n_nodes=6, n_groups=1)
+        gid, _ = next(iter(system.active_groups().items()))
+        leader = system.leader_of(gid)
+        fut = leader.host.start_split(leader)
+        sim.run_for(8.0)
+        assert fut.result() == "committed"
+        # A node of one half still hosts the retired whole-ring group,
+        # which contains every key of the other half.
+        halves = list(system.active_groups().values())
+        node = system.nodes[halves[0].members[0]]
+        assert node.groups[gid].status is GroupStatus.RETIRED
+        key = halves[1].range.lo
+        assert not halves[0].range.contains(key)
+        resp = node._serve_client_op_now("c0", ClientOpReq(op=KvOp(OP_GET, key)))
+        assert resp.status == "redirect"
+        served = {g.gid for g in resp.groups}
+        assert halves[1].gid in served and gid not in served
 
     def test_split_of_ring_of_one_links_halves(self):
         sim, net, system = build_manual(n_nodes=4, n_groups=1)

@@ -120,13 +120,15 @@ class TestStorageApply:
         _h, r = make_replica()
         r.status = GroupStatus.FROZEN
         result = r._apply(1, Command(kind="app", payload=KvOp(OP_PUT, 5, "v")))
-        assert not result.ok and result.error == "busy"
+        assert result == "busy"  # the client status; the store is untouched
+        assert r.store.get(5).error == "not_found"
 
     def test_retired_redirects_storage(self):
         _h, r = make_replica()
         r.status = GroupStatus.RETIRED
         result = r._apply(1, Command(kind="app", payload=KvOp(OP_PUT, 5, "v")))
-        assert result.error == "moved"
+        assert result == "redirect"  # the client status; the store is untouched
+        assert r.store.get(5).error == "not_found"
 
 
 class TestPrepare:

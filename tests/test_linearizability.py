@@ -104,6 +104,31 @@ class TestFastChecker:
         assert result.total_reads == 0
 
 
+class TestClientContract:
+    """A refusal taken for an answer is flagged, whatever the op."""
+
+    def test_busy_put_is_one_contract_violation(self):
+        refused = rec("put", 1, "a", 0, 1, ok=False, error="busy")
+        result = check_key_history(1, [refused, get(1, "a", 2, 3)])
+        assert [v.kind for v in result.violations] == ["client_contract"]
+        assert result.total_reads == 1  # its value stays legal to read
+
+    def test_busy_get_is_one_contract_violation_not_a_miss(self):
+        refused = rec("get", 1, None, 2, 3, ok=False, error="busy")
+        result = check_key_history(1, [put(1, "a", 0, 1), refused])
+        assert [v.kind for v in result.violations] == ["client_contract"]
+        assert result.total_reads == 0
+
+    def test_not_found_on_unwritten_key_is_clean(self):
+        result = check_key_history(1, [get(1, NOT_FOUND, 0, 1)])
+        assert result.ok
+        assert result.total_reads == 1
+
+    def test_cas_conflict_is_an_answer(self):
+        r = rec("cas", 1, "b", 0, 1, ok=False, error="conflict")
+        assert check_key_history(1, [r]).ok
+
+
 class TestWingGong:
     def test_trivial_sequential(self):
         ops = [Op("write", "a", 0, 1), Op("read", "a", 2, 3)]

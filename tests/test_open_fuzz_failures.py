@@ -4,7 +4,8 @@ Each ``docs/open-fuzz-failures/repro-<seed>.json`` is a shrunk fuzz plan
 that breaks an invariant at HEAD.  Replaying it must reproduce the
 recorded verdict: the same invariant, detail and simulated time.  A
 change that makes one stop failing — a fix, or an accident that hides
-the bug — fails here until the file moves out of the directory.
+the bug — fails here until the file moves to ``tests/fuzz_corpus/``,
+where ``tests/test_fuzz_corpus.py`` keeps it fixed.
 """
 
 from __future__ import annotations

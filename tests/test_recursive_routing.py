@@ -1,7 +1,7 @@
 """Routing without server-side forwarding.
 
-A node that does not own a key answers ``redirect`` (or ``moved`` for a
-group it retired), and the client follows the hops itself.  Each test
+A node that does not own a key answers ``redirect``, and the client
+follows the hops itself.  Each test
 seeds its clients with a node outside the key's owner group, so every
 op starts with that redirect.
 """
