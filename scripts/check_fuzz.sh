@@ -16,7 +16,8 @@
 #     on follower_reads plans, and the linearizability checker flags
 #     the resulting stale Gets; refusal-as-answer hands an op refused
 #     at apply to the client as an answer, and the checker flags it as
-#     client_contract.
+#     client_contract.  Each canary writes repro-<bug>-<seed>.json, and
+#     the gate fails if two canaries replay the same file.
 #
 # A node_loss_storm nemesis run rides along as a third gate: permanent
 # losses under live load must end recovered with zero violations.
@@ -69,10 +70,20 @@ run_canary() {
         echo "check_fuzz.sh: $bug canary found a bug but wrote no repro file" >&2
         exit 1
     fi
+    # Each canary names its file after its bug; a file an earlier canary
+    # already replayed means one overwrote the other's evidence.
+    case "$REPLAYED" in
+        *"|$REPRO_FILE|"*)
+            echo "check_fuzz.sh: $bug canary overwrote $REPRO_FILE, already replayed" >&2
+            exit 1
+            ;;
+    esac
+    REPLAYED="$REPLAYED|$REPRO_FILE|"
     echo "== replay: $REPRO_FILE must reproduce =="
     timeout 120 python -m repro fuzz --replay "$REPRO_FILE"
 }
 
+REPLAYED=""
 run_canary quorum-off-by-one 1 "$CANARY_ITERS"
 run_canary forgotten-promise 42 "$CANARY_ITERS"
 run_canary repair-race 29 "$CANARY_ITERS"

@@ -5,7 +5,8 @@ Composes the seeded simulator (`repro.sim`), fault primitives
 into an automated bug-finder: randomized deployments + scripted
 workloads + mutated fault schedules, with a continuously-evaluated
 invariant registry and a delta-debugging shrinker that reduces any
-failure to a minimal, replayable ``repro-<seed>.json``.
+failure to a minimal, replayable ``repro-<seed>.json``
+(``repro-<bug>-<seed>.json`` when a demo bug was planted).
 
 Entry points: ``python -m repro fuzz`` (see `repro.cli`) or
 :func:`repro.check.fuzzer.run_fuzz` programmatically.

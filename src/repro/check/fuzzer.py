@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.check.plan import FuzzPlan, sample_plan
-from repro.check.repro_file import dump_repro, repro_dict
+from repro.check.repro_file import dump_repro, repro_dict, repro_name
 from repro.check.runner import FailureSummary, FuzzOutcome, run_plan
 from repro.check.shrink import shrink_plan
 
@@ -138,7 +138,7 @@ def _finalize_failure(
     summary.failure = failure
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"repro-{plan.sim_seed}.json"
+    path = out_dir / repro_name(plan.sim_seed, config.bug)
     dump_repro(
         repro_dict(final_plan, failure, config.bug, shrink=summary.shrink), path
     )

@@ -1,11 +1,12 @@
 """Repro files: a failing fuzz iteration as a self-contained JSON file.
 
-``repro-<seed>.json`` carries the full (shrunk) plan, the demo-bug mode
-it ran under, and the failure it produced.  Serialization is canonical
-(sorted keys, fixed indent, no wall-clock timestamps), so the same
-failure always produces byte-identical files — which is what lets the
-determinism test compare them directly and lets ``--replay`` assert the
-failure reproduces exactly.
+``repro-<seed>.json`` (``repro-<bug>-<seed>.json`` when a demo bug was
+planted, see :func:`repro_name`) carries the full (shrunk) plan, the
+demo-bug mode it ran under, and the failure it produced.
+Serialization is canonical (sorted keys, fixed indent, no wall-clock
+timestamps), so the same failure always produces byte-identical files —
+which is what lets the determinism test compare them directly and lets
+``--replay`` assert the failure reproduces exactly.
 """
 
 from __future__ import annotations
@@ -16,6 +17,15 @@ from typing import Any
 
 from repro.check.plan import PLAN_FORMAT, FuzzPlan, plan_from_dict, plan_to_dict
 from repro.check.runner import FailureSummary
+
+
+def repro_name(sim_seed: int, bug: str | None) -> str:
+    """The repro file name for a failing plan's simulator seed.
+
+    A planted demo bug is part of the name: two campaigns with different
+    bugs can fail on the same plan, and each keeps its own file.
+    """
+    return f"repro-{bug}-{sim_seed}.json" if bug else f"repro-{sim_seed}.json"
 
 
 def repro_dict(

@@ -97,7 +97,7 @@ def run_plan(plan: FuzzPlan, bug: str | None = None) -> FuzzOutcome:
             config=experiment_scatter_config(
                 paxos=replace(
                     EXPERIMENT_PAXOS,
-                    batch=plan.batching,
+                    batch_max=16 if plan.batching else 1,
                     pipeline_depth=plan.pipeline_depth,
                     follower_reads=plan.follower_reads,
                 ),

@@ -392,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="inject a known bug, one of repro.check.demo.DEMO_BUGS "
                              "(e.g. quorum-off-by-one), to prove the fuzzer finds it")
     p_fuzz.add_argument("--out-dir", default=".",
-                        help="directory for repro-<seed>.json files")
+                        help="directory for repro-<seed>.json files "
+                             "(repro-<bug>-<seed>.json with --demo-bug)")
     p_fuzz.add_argument("--no-shrink", action="store_true",
                         help="skip delta-debugging the failing plan")
     p_fuzz.add_argument("--max-shrink-runs", type=int, default=150,

@@ -35,29 +35,27 @@ class PrepareNack:
 
 @dataclass(frozen=True, slots=True)
 class Accept:
-    """Phase 2a for a run of *contiguous* slots: slot ``start_slot + i``
-    carries ``commands[i]``.  Piggybacks the leader's commit index.
+    """Phase 2a for one slot.  Piggybacks the leader's commit index.
 
     The leader sends each slot's Accept as the slot is issued, and its
-    retry tick retransmits per slot, so every run it sends is a run of
-    one.  The receiver journals every covered slot and answers with one
-    :class:`Accepted` from a single durability barrier.
+    retry tick retransmits per slot.  The receiver journals the slot and
+    answers with an :class:`Accepted` once the record is durable.
     """
 
     ballot: Ballot
-    start_slot: int
-    commands: tuple[Command, ...]
+    slot: int
+    command: Command
     commit_index: int
 
 
 @dataclass(frozen=True, slots=True)
 class Accepted:
-    """Phase 2b acks for every slot of an :class:`Accept` that was
-    journaled durably (slots that failed their WAL append are omitted
-    and covered by the leader's retry tick)."""
+    """Phase 2b: ``slot`` was journaled durably under ``ballot``.  A
+    slot whose WAL append failed gets no Accepted; the leader's retry
+    tick covers it."""
 
     ballot: Ballot
-    slots: tuple[int, ...]
+    slot: int
 
 
 @dataclass(frozen=True, slots=True)

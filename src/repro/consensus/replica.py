@@ -11,11 +11,11 @@ machine.  The protocol follows the classic Multi-Paxos structure:
   itself, locally and in parallel; a slot is chosen once a majority of
   the current configuration — the leader's own durable record plus
   peer acks — accepts it.  Chosen slots are applied in order.  An
-  ``Accept`` carries a run of contiguous slots and an ``Accepted`` the
-  slots of it that were journaled.  The leader sends each slot's
-  ``Accept`` as the slot is issued and retransmits per slot, a run of
-  one; there is one acceptor step (``_accept``) and one ack count
-  (``_count_acks``) whatever the run's origin.
+  ``Accept`` carries one slot and an ``Accepted`` acks it once it is
+  journaled.  The leader sends each slot's ``Accept`` as the slot is
+  issued and retransmits per slot; there is one acceptor step
+  (``_accept``) and one ack count (``_count_acks``) for a peer's vote
+  and the leader's own.
 - **Leases**: the leader renews a read lease with each heartbeat round
   that a majority acknowledges; while the lease is live (and the leader
   has committed a no-op in its own ballot — the read barrier) reads are
@@ -125,12 +125,12 @@ class PaxosConfig:
     # while staying out of the way of short unit-test runs.
     compact_threshold: int = 512
     # Batch concurrently proposed app commands into one log slot: fewer
-    # Paxos rounds per operation under bursty load.  batch_window is how
+    # Paxos rounds per operation under bursty load.  batch_max caps
+    # commands per slot, and 1 turns batching off; batch_window is how
     # long the leader waits to coalesce (0 batches only same-instant
-    # proposals); batch_max caps commands per slot.
-    batch: bool = False
+    # proposals).
     batch_window: float = 0.002
-    batch_max: int = 16
+    batch_max: int = 1
     # Pipeline flow control: bound on in-flight unchosen slots at the
     # leader.  Proposals beyond the window wait in the admission queue
     # and are issued as commits drain, so bursty load fills the pipe
@@ -155,6 +155,8 @@ class PaxosConfig:
             raise ValueError("heartbeat_interval must be < lease_duration")
         if self.pipeline_depth < 1:
             raise ValueError("pipeline_depth must be >= 1")
+        if self.batch_max < 1:
+            raise ValueError("batch_max must be >= 1")
 
 
 @dataclass
@@ -199,7 +201,7 @@ class PaxosReplica:
         "_max_round_seen", "_pending", "_proposal_futures", "_queue", "_next_slot",
         "_barrier_slot", "_read_barrier_slot", "_lease_until", "_hb_acks", "_hb_sent",
         "_hb_heard", "_hb_commit_index", "_hb_stretch", "member_last_ack", "_retry_delay",
-        "_batch_buffer", "_batch_flush_pending", "_batch_flush_timer", "write_keys_fn", "_grants",
+        "_batch_buffer", "_batch_flush_timer", "write_keys_fn", "_grants",
         "_fr_grant_until", "_fr_frontier", "_campaigning", "_campaign_promises",
         "_campaign_from_slot", "_backlog",
     )
@@ -289,7 +291,6 @@ class PaxosReplica:
 
         # Batching state (leader only).
         self._batch_buffer: list[tuple[Command, Future]] = []
-        self._batch_flush_pending = False
         self._batch_flush_timer: Any = None
 
         # Follower reads.  ``write_keys_fn`` classifies a command's
@@ -541,7 +542,6 @@ class PaxosReplica:
         for _command, future in self._batch_buffer:
             future.set_exception(fail_with)
         self._batch_buffer.clear()
-        self._batch_flush_pending = False
         timer = self._batch_flush_timer
         if timer is not None:
             self._batch_flush_timer = None
@@ -578,12 +578,11 @@ class PaxosReplica:
         if self.retired or not self.is_leader:
             future.set_exception(NotLeader(self.leader_hint))
             return future
-        if self.config.batch and command.kind == "app":
+        if self.config.batch_max > 1 and command.kind == "app":
             self._batch_buffer.append((command, future))
             if len(self._batch_buffer) >= self.config.batch_max:
                 self._flush_batch()
-            elif not self._batch_flush_pending:
-                self._batch_flush_pending = True
+            elif self._batch_flush_timer is None:
                 self._batch_flush_timer = self.transport.set_timer(
                     self.config.batch_window, self._flush_batch
                 )
@@ -597,7 +596,6 @@ class PaxosReplica:
         return future
 
     def _flush_batch(self) -> None:
-        self._batch_flush_pending = False
         timer = self._batch_flush_timer
         if timer is not None:
             # batch_max (or a non-batchable command) forced an early
@@ -1022,25 +1020,15 @@ class PaxosReplica:
                 PAXOS_SLOT, slot=slot, leader=self.replica_id, cmd=command.kind
             )
         self._pending[slot] = pending
-        run = [(slot, command)]
-        self._send_peers(self._accept_msg(run))
-        self._accept_own(run)
+        self._send_peers(Accept(self.ballot, slot, command, self.log.commit_index))
+        self._accept_own(slot, command)
 
     def _send_peers(self, msg: Any) -> None:
         for member in self.members:
             if member != self.replica_id:
                 self.transport.send(member, msg)
 
-    def _accept_msg(self, run: list[tuple[int, Command]]) -> Accept:
-        """The wire message for a run of contiguous (slot, command) pairs."""
-        return Accept(
-            ballot=self.ballot,
-            start_slot=run[0][0],
-            commands=tuple(command for _slot, command in run),
-            commit_index=self.log.commit_index,
-        )
-
-    def _accept_own(self, run: list[tuple[int, Command]]) -> None:
+    def _accept_own(self, slot: int, command: Command) -> None:
         """The leader's own vote: the acceptor step taken locally, with no
         message — journaled in parallel with the broadcast to the peers
         and counted from the durability callback, under the ballot and
@@ -1049,69 +1037,58 @@ class PaxosReplica:
         if ballot < self.promised:
             return  # the acceptor rule; a sitting leader never gets here
         self.promised = ballot
-        ack = partial(self._count_acks, self.replica_id, ballot)
-        for slot in self._accept(ballot, run, ack):
+        if self._accept(ballot, slot, command, partial(self._count_acks, self.replica_id, ballot)):
             pending = self._pending.get(slot)
             if pending is not None:
                 pending.own_wal = True
 
     def _accept(
-        self,
-        ballot: Ballot,
-        run: list[tuple[int, Command]],
-        ack: Callable[[tuple[int, ...]], None],
-    ) -> list[int]:
-        """The acceptor step for a run of slots, remote or the leader's own.
+        self, ballot: Ballot, slot: int, command: Command, ack: Callable[[int], None]
+    ) -> bool:
+        """The acceptor step for one slot, remote or the leader's own.
 
-        Records and journals every slot, then calls ``ack(slots)`` from a
-        single durability barrier: after the fsync covering the records
-        (when the ledger also notes them), or at once when there is no
-        storage region.  Slots already compacted here are chosen and
-        applied, so they are acked without a record; slots whose append
-        failed (IO error) are left out, and the leader's retry tick
-        covers them.
-        Returns the slots whose ack now waits on the WAL.
+        Records and journals the slot, then calls ``ack(slot)``: after
+        the fsync covering the record (when the ledger also notes it),
+        or at once when there is no storage region.  A slot already
+        compacted here is chosen and applied, so it is acked without a
+        record; a slot whose append failed (IO error) is not acked, and
+        the leader's retry tick covers it.
+        Returns whether the ack now waits on the WAL.
         """
+        if slot < self.log.first_slot:
+            ack(slot)
+            return False
+        entry = self.log.entry(slot)
+        if not entry.chosen:
+            entry.accepted_ballot = ballot
+            entry.accepted_value = command
         storage = self.storage
-        compacted: list[int] = []
-        journaled: list[tuple[int, Command]] = []
-        for slot, command in run:
-            if slot < self.log.first_slot:
-                compacted.append(slot)
-                continue
-            entry = self.log.entry(slot)
-            if not entry.chosen:
-                entry.accepted_ballot = ballot
-                entry.accepted_value = command
-            if storage is None or storage.append_accept(slot, ballot, command):
-                journaled.append((slot, command))
-        waiting = [slot for slot, _command in journaled]
-        slots = tuple(compacted + waiting)
-        if storage is None or not journaled:
-            if slots:
-                ack(slots)
-            return []
+        if storage is None:
+            ack(slot)
+            return False
+        if not storage.append_accept(slot, ballot, command):
+            return False
 
         def on_durable() -> None:
-            for slot, command in journaled:
-                storage.note_acked_accept(slot, ballot, command_label(command))
-            ack(slots)
+            storage.note_acked_accept(slot, ballot, command_label(command))
+            ack(slot)
 
         storage.disk.enqueue_fsync(storage, on_durable)
-        return waiting
+        return True
 
     def _on_accept(self, src: str, msg: Accept) -> None:
-        """Journal every slot of the run, then answer with one Accepted
-        from a single durability barrier."""
+        """Journal the slot, then answer with an Accepted once it is durable."""
         ballot = msg.ballot
         self._note_ballot(ballot)
         if ballot < self.promised:
-            self.transport.send(src, AcceptNack(ballot, msg.start_slot, self.promised))
+            self.transport.send(src, AcceptNack(ballot, msg.slot, self.promised))
             return
         self._observe_other_leader(src, ballot)
         self.promised = ballot
-        run = list(enumerate(msg.commands, msg.start_slot))
-        self._accept(ballot, run, lambda slots: self.transport.send(src, Accepted(ballot, slots)))
+        self._accept(
+            ballot, msg.slot, msg.command,
+            lambda slot: self.transport.send(src, Accepted(ballot, slot)),
+        )
         self._learn_commit_index(src, ballot, msg.commit_index)
 
     def _observe_other_leader(self, src: str, ballot: Ballot) -> None:
@@ -1123,19 +1100,13 @@ class PaxosReplica:
             self.last_leader_contact = self.transport.now
 
     def _on_accepted(self, src: str, msg: Accepted) -> None:
-        self._count_acks(src, msg.ballot, msg.slots)
+        self._count_acks(src, msg.ballot, msg.slot)
 
-    def _count_acks(self, src: str, ballot: Ballot, slots: tuple[int, ...]) -> None:
-        """Count ``src``'s durable accepts — a peer's reply or our own vote."""
+    def _count_acks(self, src: str, ballot: Ballot, slot: int) -> None:
+        """Count ``src``'s durable accept — a peer's reply or our own vote."""
         if not self.is_leader or ballot != self.ballot:
             return
         self.member_last_ack[src] = self.transport.now
-        for slot in slots:
-            self._slot_accepted(src, slot)
-            if not self.is_leader:
-                return  # a config change among them may have removed us
-
-    def _slot_accepted(self, src: str, slot: int) -> None:
         pending = self._pending.get(slot)
         if pending is None or src not in self.members:
             return
@@ -1391,11 +1362,13 @@ class PaxosReplica:
                 need.setdefault(member, []).append((slot, pending.command))
         own = need.pop(self.replica_id, [])
         for member, pairs in need.items():
-            for pair in pairs:
-                self.transport.send(member, self._accept_msg([pair]))
-        for pair in own:
+            for slot, command in pairs:
+                self.transport.send(
+                    member, Accept(self.ballot, slot, command, self.log.commit_index)
+                )
+        for slot, command in own:
             if self.is_leader:  # our vote can choose a slot that retires us
-                self._accept_own([pair])
+                self._accept_own(slot, command)
         if self._pending:
             self._retry_delay = decorrelated_jitter(
                 self.transport.rng(),

@@ -53,6 +53,14 @@ from repro.txn.spec import (
 )
 
 
+# A non-leader replica with no leader contact for this long asks around
+# for its group's fate; a "moved" answer retires it locally (the group
+# completed a split/merge while this node was cut off).
+ORPHAN_TIMEOUT = 10.0
+# Group infos a node caches for routing, beyond the groups it hosts.
+ROUTING_CACHE_SIZE = 64
+
+
 @dataclass
 class ScatterConfig:
     """Timing and sizing knobs for a Scatter deployment."""
@@ -65,17 +73,12 @@ class ScatterConfig:
     txn_cooldown: float = 3.0
     gossip_interval: float = 4.0
     retired_linger: float = 45.0
-    # A non-leader replica with no leader contact for this long asks
-    # around for its group's fate; a "moved" answer retires it locally
-    # (the group completed a split/merge while this node was cut off).
-    orphan_timeout: float = 10.0
     # Suspicion horizon for *repair* (policy.repair): a member unreachable
     # this long is treated as permanently lost when computing the group's
     # live replication level.  Longer than dead_timeout so transient
     # crashes are removed-and-rejoined without triggering a repair.
     repair_suspicion: float = 6.0
     join_retry: float = 1.0
-    routing_cache_size: int = 64
     # CPU service time a node spends per client operation (seconds).
     # Zero disables the queueing model; a positive value makes nodes
     # saturate under offered load, giving the classic latency-throughput
@@ -249,7 +252,7 @@ class ScatterNode(Node):
         cached = self.cache.get(info.gid)
         if cached is not None and cached.epoch > info.epoch:
             return  # keep the fresher view
-        if cached is None and len(self.cache) >= self.config.routing_cache_size:
+        if cached is None and len(self.cache) >= ROUTING_CACHE_SIZE:
             self.cache.pop(next(iter(self.cache)))
         self.cache[info.gid] = info
 
@@ -614,7 +617,7 @@ class ScatterNode(Node):
         """
         paxos = replica.paxos
         idle = self.sim.now - paxos.last_leader_contact
-        if idle < self.config.orphan_timeout:
+        if idle < ORPHAN_TIMEOUT:
             return
         peers = [m for m in paxos.members if m != self.node_id]
         if not peers:

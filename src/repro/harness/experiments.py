@@ -19,7 +19,7 @@ from repro.analysis.liveness import GroupQuorumWatch, LivenessWatchdog
 from repro.analysis.stats import mean, percentile
 from repro.baseline.chord import ChordConfig
 from repro.consensus.replica import PaxosConfig
-from repro.dht.client import ClientConfig, ScatterClient
+from repro.dht.client import MAX_HOPS, ClientConfig, ScatterClient
 from repro.faults import FaultTarget, ScheduleRunner, build_scenario, get_scenario
 from repro.faults.nemesis import crash_storm, node_loss_storm
 from repro.group.replica import GroupStatus
@@ -913,7 +913,7 @@ def run_e13(quick: bool = True, seed: int = 13) -> ExperimentResult:
                 if record.completed:
                     hops.append(record.hops)
                     latencies.append(record.latency)
-                elif record.hops >= client.config.max_hops:
+                elif record.hops >= MAX_HOPS:
                     capped += 1
             result.add(
                 groups=n_groups,
@@ -981,7 +981,9 @@ def run_e15(quick: bool = True, seed: int = 15) -> ExperimentResult:
     duration = 20.0 if quick else 60.0
     n_clients = 12 if quick else 24
     for batch in (False, True):
-        paxos = _fast_paxos(compact_threshold=400, batch=batch, batch_window=0.003, batch_max=16)
+        paxos = _fast_paxos(
+            compact_threshold=400, batch_window=0.003, batch_max=16 if batch else 1
+        )
         params = DeploymentParams(n_nodes=9, n_groups=3, n_clients=n_clients, seed=seed)
         deployment = build_scatter_deployment(
             params, config=experiment_scatter_config(paxos=paxos)
@@ -1332,8 +1334,8 @@ def run_e19(quick: bool = True, seed: int = 19) -> ExperimentResult:
     n_clients = 64
     for batch_max, pipe in cells:
         paxos = _fast_paxos(
-            compact_threshold=400, batch=batch_max > 0, batch_window=0.003,
-            batch_max=batch_max or 16, pipeline_depth=pipe,
+            compact_threshold=400, batch_window=0.003, batch_max=max(batch_max, 1),
+            pipeline_depth=pipe,
         )
         config = experiment_scatter_config(paxos=paxos, storage=StorageConfig())
         config.op_service_time = 0.0002
@@ -1458,9 +1460,9 @@ def run_e21(quick: bool = True, seed: int = 21) -> ExperimentResult:
     E6 stops at 240 nodes; this experiment rides the simulator's
     constant-cost event path (direct-dispatch delivery, message-entry
     pooling) and the clients' precomputed bisect routing tables
-    (``ClientConfig.route_table``) to thousands of nodes in a single
-    deployment — the regime Scatter's scalability story is actually
-    about.  Client caches are sized to hold the whole ring, so a warm
+    (:class:`~repro.dht.route.RingTable`) to thousands of nodes in a
+    single deployment — the regime Scatter's scalability story is
+    actually about.  Client caches are sized to hold the whole ring, so a warm
     client resolves any key in O(log groups) locally and one hop
     remotely; ``hops_per_op`` staying ~1 across the sweep is the
     routing-scalability claim, flat ``p50`` is the latency claim, and
@@ -1475,11 +1477,10 @@ def run_e21(quick: bool = True, seed: int = 21) -> ExperimentResult:
             "hops_per_op", "msgs_per_op", "sim_events",
         ],
         notes=(
-            "whole-ring client caches with precomputed routing tables "
-            "(ClientConfig.route_table); closed-loop clients scale with "
-            "nodes; hops_per_op ~ 1 means routing stays O(1) network "
-            "hops as the ring grows; sim_events is the deterministic "
-            "event count per measurement window"
+            "whole-ring client caches with precomputed routing tables; "
+            "closed-loop clients scale with nodes; hops_per_op ~ 1 means "
+            "routing stays O(1) network hops as the ring grows; sim_events "
+            "is the deterministic event count per measurement window"
         ),
     )
     sizes = [120, 240] if quick else [500, 1000, 2000, 5000]
@@ -1494,7 +1495,7 @@ def run_e21(quick: bool = True, seed: int = 21) -> ExperimentResult:
         )
         deployment = build_scatter_deployment(
             params,
-            client_config=ClientConfig(route_table=True, cache_size=n_groups + 16),
+            client_config=ClientConfig(cache_size=n_groups + 16),
         )
         sim = deployment.sim
         workload = ClosedLoopWorkload(

@@ -235,6 +235,31 @@ class TestRefusalCanary:
         assert observed.name == recorded.name == "client_contract"
 
 
+class TestReproFileNames:
+    def test_two_bugs_on_one_plan_write_two_files(self, tmp_path):
+        # Canaries that fail on the same plan must not overwrite each
+        # other's repro file; a clean campaign keeps repro-<seed>.json.
+        from repro.check.fuzzer import FuzzSummary, _finalize_failure
+        from repro.check.runner import FailureSummary, FuzzOutcome
+
+        plan = sample_plan(11, 1)
+        failure = FailureSummary("linearizability", "stale_read", "x", 1.0)
+        outcome = FuzzOutcome(plan, failure, [], 0, 0, 0, 0)
+        paths = []
+        for bug in ("stale-follower-read", "refusal-as-answer", None):
+            summary = FuzzSummary(master_seed=11)
+            config = FuzzConfig(bug=bug, out_dir=str(tmp_path), shrink=False)
+            _finalize_failure(config, summary, 1, plan, outcome, lambda _line: None)
+            paths.append(os.path.basename(summary.repro_path))
+        assert paths == [
+            f"repro-stale-follower-read-{plan.sim_seed}.json",
+            f"repro-refusal-as-answer-{plan.sim_seed}.json",
+            f"repro-{plan.sim_seed}.json",
+        ]
+        assert sorted(os.listdir(tmp_path)) == sorted(paths)
+        assert load_repro(tmp_path / paths[0])["demo_bug"] == "stale-follower-read"
+
+
 class TestCli:
     def test_clean_fuzz_exits_zero_with_summary(self, tmp_path):
         proc = subprocess.run(

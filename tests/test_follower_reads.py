@@ -361,7 +361,7 @@ class TestServing:
             lease_duration=0.7,
             retry_interval=0.4,
             follower_reads=True,
-            batch=True,
+            batch_max=16,
             batch_window=0.35,  # under the client's 0.5 s rpc_timeout
         )
         with tracing(Tracer()) as tracer:

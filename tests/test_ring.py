@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dht import KEY_SPACE, KeyRange, hash_key, ring_distance
+from repro.dht.route import RingTable
+from repro.group.info import GroupInfo
 
 keys = st.integers(0, KEY_SPACE - 1)
 
@@ -155,3 +157,46 @@ def test_ring_distance_antisymmetry(a, b):
         assert ring_distance(a, b) + ring_distance(b, a) == KEY_SPACE
     else:
         assert ring_distance(a, b) == 0
+
+
+# ---------------------------------------------------------------------------
+# RingTable: the client's routing table answers what a cache scan answers
+# ---------------------------------------------------------------------------
+def scan(infos, key):
+    """The reference rule: the first cached info whose arc contains the
+    key, else the one whose arc starts closest behind it (first on ties)."""
+    for info in infos:
+        if info.range.contains(key):
+            return info
+    if not infos:
+        return None
+    return min(infos, key=lambda info: ring_distance(info.range.lo, key))
+
+
+def info(i, lo, hi):
+    return GroupInfo(gid=f"g{i}", range=KeyRange(lo, hi), members=("m",), leader_hint="m")
+
+
+# Arc ends come mostly from a few ring points, so overlaps, gaps,
+# wrapping arcs, full-ring arcs (lo == hi) and equal starts are all
+# common; the rest fall anywhere.
+_POINTS = (0, 1, KEY_SPACE // 4, KEY_SPACE // 2, KEY_SPACE // 2 + 1, KEY_SPACE - 1)
+_ends = st.one_of(st.sampled_from(_POINTS), st.sampled_from(_POINTS), keys)
+
+
+@settings(max_examples=500, deadline=None)
+@given(arcs=st.lists(st.tuples(_ends, _ends), max_size=8), probes=st.lists(keys, max_size=8))
+def test_ring_table_lookup_is_the_scan(arcs, probes):
+    infos = [info(i, lo, hi) for i, (lo, hi) in enumerate(arcs)]
+    table = RingTable(infos)
+    ends = {p for arc in arcs for p in arc} | set(_POINTS)
+    for key in sorted({(p + d) % KEY_SPACE for p in ends for d in (-1, 0, 1)}) + probes:
+        assert table.lookup(key) is scan(infos, key), key
+
+
+def test_ring_table_gap_with_equal_starts_picks_the_first_cached():
+    wide, narrow = info(0, 100, 200), info(1, 100, 150)
+    for infos in ((wide, narrow), (narrow, wide)):
+        # 300 lies in no arc: both start 100 behind it, so the first cached wins.
+        assert RingTable(infos).lookup(300) is infos[0]
+        assert scan(infos, 300) is infos[0]

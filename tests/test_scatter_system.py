@@ -4,6 +4,7 @@ import pytest
 
 from repro.dht.messages import GossipReq, GroupNeighborsReq, JoinLookupReq
 from repro.dht.ring import KEY_SPACE, KeyRange
+from repro.dht.scatter import ROUTING_CACHE_SIZE
 from repro.dht.system import ScatterSystem
 from repro.group.info import GroupInfo
 from repro.group.replica import GroupStatus
@@ -65,11 +66,11 @@ class TestNodeKnowledge:
     def test_learn_respects_cache_bound(self):
         sim, net, system = build()
         node = next(iter(system.nodes.values()))
-        for i in range(node.config.routing_cache_size + 20):
+        for i in range(ROUTING_CACHE_SIZE + 20):
             node.learn(
                 GroupInfo(gid=f"x{i}", range=KeyRange(i, i + 1), members=("m",), leader_hint="m")
             )
-        assert len(node.cache) <= node.config.routing_cache_size
+        assert len(node.cache) <= ROUTING_CACHE_SIZE
 
     def test_learn_ignores_hosted_groups(self):
         sim, net, system = build()

@@ -20,7 +20,7 @@ from hypothesis import strategies as hyp
 from repro.consensus.commands import Command
 from repro.consensus.harness import build_cluster
 from repro.consensus.messages import Accept, Accepted
-from repro.consensus.replica import PaxosConfig
+from repro.consensus.replica import PaxosConfig, _PendingSlot
 from repro.harness.builders import (
     DeploymentParams,
     build_scatter_deployment,
@@ -410,17 +410,18 @@ class TestPipeline:
 # ---------------------------------------------------------------------------
 class TestAcceptCoalescing:
     def run_burst(self):
-        """Run lengths of every Accept and Accepted sent for a 24-op burst."""
+        """(peer, slot) of every Accept and Accepted sent for a 24-op
+        burst, in send order; the peer is the follower at the other end."""
         sim, net, hosts = make_cluster(PaxosConfig(**FAST), seed=3)
-        runs = {"Accept": [], "Accepted": []}
+        sent = {"Accept": [], "Accepted": []}
         for host in hosts:
             transport = host.replica.transport
 
-            def tap(dst, msg, _send=transport.send):
+            def tap(dst, msg, _send=transport.send, _me=host.replica.replica_id):
                 if isinstance(msg, Accept):
-                    runs["Accept"].append(len(msg.commands))
+                    sent["Accept"].append((dst, msg.slot))
                 elif isinstance(msg, Accepted):
-                    runs["Accepted"].append(len(msg.slots))
+                    sent["Accepted"].append((_me, msg.slot))
                 _send(dst, msg)
 
             transport.send = tap
@@ -429,14 +430,18 @@ class TestAcceptCoalescing:
         assert all(f.result() == i for i, f in enumerate(futures))
         for host in hosts:
             assert app_payloads(host) == list(range(24))
-        return runs
+        return sent
 
     def test_coalescing_off_sends_no_batches(self):
-        # Each slot's Accept leaves when the slot is issued, and a
-        # retransmission is per slot too: every message carries one.
-        runs = self.run_burst()
-        assert set(runs["Accept"]) == {1}
-        assert set(runs["Accepted"]) == {1}
+        # Each slot's Accept leaves when the slot is issued, so each
+        # peer's first Accept and first Accepted of every slot come in
+        # slot order; the retry tick may repeat a slot, never merge two.
+        sent = self.run_burst()
+        for kind in ("Accept", "Accepted"):
+            firsts = list(dict.fromkeys(sent[kind]))
+            for peer in ("n1", "n2"):
+                slots = [slot for p, slot in firsts if p == peer]
+                assert slots == list(range(slots[0], slots[0] + 24)), (kind, peer)
 
     def test_retry_after_partition_retransmits_batches(self):
         sim, net, hosts = make_cluster(PaxosConfig(**FAST))
@@ -450,55 +455,57 @@ class TestAcceptCoalescing:
 
 
 class TestOneAcceptorStep:
-    """Four Accepts of one slot each, one Accept of four slots and the
-    leader's own vote all take the same acceptor step, so the same input
-    yields the same acks."""
+    """Four remote Accepts and the leader's own votes on the same four
+    slots take the same acceptor step, so the same input yields the
+    same acks."""
 
     COMMANDS = tuple(Command(kind="app", payload=i, dedup=("c", i)) for i in range(4))
 
-    def fresh_follower(self, storage):
-        _sim, _net, hosts = make_cluster(PaxosConfig(**FAST), storage=storage)
-        follower = hosts[1].replica
+    def acks_for(self, storage, own, io_error_on=None):
+        """Offsets acked for the four slots above the commit index, and
+        the acceptor's ledger: a follower's when ``own`` is false, else
+        the leader's, whose votes are counted into its pending slots."""
+        sim, _net, hosts = make_cluster(PaxosConfig(**FAST), storage=storage)
+        replica = hosts[0 if own else 1].replica
         acked = []
 
-        def record(dst, msg):
+        def record(dst, msg):  # and nothing reaches the peers
             if isinstance(msg, Accepted):
-                acked.append(msg.slots)
+                acked.append(msg.slot)
 
-        follower.transport.send = record
-        return _sim, follower, acked
-
-    def acks_for(self, storage, coalesced, io_error_on=None):
-        sim, follower, acked = self.fresh_follower(storage)
-        ballot, start = follower.promised, follower.log.commit_index + 1
+        replica.transport.send = record
+        ballot, start = replica.promised, replica.log.commit_index + 1
         if io_error_on is not None:
-            real = follower.storage.append_accept
-            follower.storage.append_accept = (
+            real = replica.storage.append_accept
+            replica.storage.append_accept = (
                 lambda slot, b, c: slot != start + io_error_on and real(slot, b, c)
             )
-        if coalesced:
-            follower.on_message("n0", Accept(ballot, start, self.COMMANDS, -1))
-        else:
-            for offset, command in enumerate(self.COMMANDS):
-                follower.on_message("n0", Accept(ballot, start + offset, (command,), -1))
+        for slot, command in enumerate(self.COMMANDS, start):
+            if own:
+                replica._pending[slot] = _PendingSlot(command=command)
+                replica._accept_own(slot, command)
+            else:
+                replica.on_message("n0", Accept(ballot, slot, command, -1))
         sim.run_for(0.05)
-        ledger = dict(follower.storage.acked_accepts) if storage else None
-        return sorted(slot - start for ack in acked for slot in ack), ledger
+        if own:
+            acked = [slot for slot, p in replica._pending.items() if replica.replica_id in p.acks]
+        ledger = dict(replica.storage.acked_accepts) if storage else None
+        return sorted(slot - start for slot in acked), ledger
 
     def test_same_acks_without_storage(self):
         assert self.acks_for(None, True) == self.acks_for(None, False) == ([0, 1, 2, 3], None)
 
     def test_same_acks_and_ledger_with_storage(self):
         storage = StorageConfig()
-        batch, per_slot = self.acks_for(storage, True), self.acks_for(storage, False)
-        assert batch == per_slot
-        assert batch[0] == [0, 1, 2, 3] and len(batch[1]) >= 4
+        own, remote = self.acks_for(storage, True), self.acks_for(storage, False)
+        assert own == remote
+        assert own[0] == [0, 1, 2, 3] and len(own[1]) >= 4
 
     def test_same_acks_when_one_append_fails(self):
         storage = StorageConfig()
-        batch = self.acks_for(storage, True, io_error_on=2)
-        assert batch == self.acks_for(storage, False, io_error_on=2)
-        assert batch[0] == [0, 1, 3]
+        own = self.acks_for(storage, True, io_error_on=2)
+        assert own == self.acks_for(storage, False, io_error_on=2)
+        assert own[0] == [0, 1, 3]
 
     def test_leaders_own_vote_takes_the_same_step(self):
         sim, _net, hosts = make_cluster(PaxosConfig(**FAST), storage=StorageConfig())
@@ -519,7 +526,7 @@ class TestOneAcceptorStep:
 # ---------------------------------------------------------------------------
 class TestBatchTimerCancel:
     def test_early_flush_cancels_window_timer(self):
-        config = PaxosConfig(batch=True, batch_window=0.05, batch_max=4, **FAST)
+        config = PaxosConfig(batch_window=0.05, batch_max=4, **FAST)
         sim, net, hosts = make_cluster(config)
         replica = hosts[0].replica
         t0 = sim.now
@@ -574,7 +581,7 @@ def _drive(seed, *, paxos_extra=None, storage=None, msg_service_time=0.0):
     )
 
 
-FULL_STACK = dict(batch=True, pipeline_depth=8)
+FULL_STACK = dict(batch_max=16, pipeline_depth=8)
 
 
 class TestZeroPerturbation:
