@@ -7,8 +7,10 @@
 directory, and ``benchmarks/ledger/run.py --workload W --trace 0`` runs
 in pairs, once from the working tree and once from that copy, each run
 in a fresh interpreter; the side that goes first alternates from pair
-to pair, so drift on the host falls on both.  ``--workload`` may be
-given more than once; without it every workload in BENCHMARK.json runs.
+to pair, so drift on the host falls on both.  ``--pairs`` defaults to
+10, the fewest at which the 9-in-10 rule below can be met.
+``--workload`` may be given more than once; without it every workload
+in BENCHMARK.json runs.
 For each workload and every end-to-end metric in BENCHMARK.json the
 script prints each pair's ratio (working tree / REV), the median ratio,
 how many pairs the working tree won, each side's median value, each
@@ -141,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("rev", help="git revision to compare against, e.g. HEAD~1")
     parser.add_argument("--workload", action="append",
                         help="a workload to run; repeatable (default: every workload)")
-    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=8.0)
     args = parser.parse_args(argv)

@@ -118,10 +118,6 @@ class LivenessWatchdog:
     # Results
     # ------------------------------------------------------------------
     @property
-    def stalled_now(self) -> bool:
-        return self._in_stall
-
-    @property
     def stall_count(self) -> int:
         return len(self.stalls)
 
@@ -130,23 +126,9 @@ class LivenessWatchdog:
         return max((s.duration for s in self.stalls), default=0.0)
 
     @property
-    def total_stalled(self) -> float:
-        return sum(s.duration for s in self.stalls)
-
-    @property
     def unrecovered(self) -> bool:
         """Did the run end inside a stall (no recovery observed)?"""
         return any(s.open for s in self.stalls)
-
-    def assert_recovered(self) -> None:
-        """Raise AssertionError if the final stall never resolved."""
-        if self.unrecovered:
-            last = self.stalls[-1]
-            raise AssertionError(
-                f"liveness: no progress since t={last.start:.3f} "
-                f"({last.duration:.3f}s stalled at stop)"
-            )
-
 
 @dataclass(frozen=True)
 class QuorumVerdict:

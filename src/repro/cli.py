@@ -180,43 +180,22 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_perf(args: argparse.Namespace) -> int:
-    import os
-
     from repro.perf.microbench import (
-        attach_baseline,
-        compare_benchmarks,
-        load_bench_file,
+        check_gates,
         render_report,
         run_microbenchmarks,
         write_bench_file,
     )
 
-    report = run_microbenchmarks(quick=args.quick, repeat=args.repeat)
-    comparison = None
-    if args.json and os.path.exists(args.json):
-        previous = load_bench_file(args.json)
-        comparison = compare_benchmarks(previous, report)
-        # The pre-PR reference measurement rides along across rewrites.
-        if "pre_pr_baseline" in previous:
-            attach_baseline(report, previous["pre_pr_baseline"])
-    print(render_report(report, comparison))
+    report = run_microbenchmarks(quick=args.quick)
+    print(render_report(report))
     if args.json:
         write_bench_file(report, args.json)
         print(f"\nwrote {args.json}")
-    if args.fail_below and comparison:
-        regressed = [
-            c for c in comparison
-            if c["ratio"] is not None and c["ratio"] < args.fail_below
-        ]
-        for c in regressed:
-            print(
-                f"REGRESSION: {c['name']} {c['old']:,.0f} -> {c['new']:,.0f} "
-                f"{c['metric']} ({c['ratio']:.2f}x < {args.fail_below}x)",
-                file=sys.stderr,
-            )
-        if regressed:
-            return 1
-    return 0
+    failed = [gate for holds, gate in check_gates(report) if not holds]
+    for gate in failed:
+        print(f"perf gate failed: {gate}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
@@ -347,18 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.set_defaults(fn=_cmd_profile)
 
     p_perf = sub.add_parser(
-        "perf", help="simulator wall-clock microbenchmarks (events/sec etc.)"
+        "perf", help="simulator microbenchmarks: in-run timing ratios and exact "
+                     "counts, exit 1 if any gate fails"
     )
     p_perf.add_argument("--json", metavar="PATH", default=None,
-                        help="write report to PATH (comparing against it first "
-                             "if it exists), e.g. BENCH_SIM.json")
+                        help="write the report to PATH, e.g. BENCH_SIM.json")
     p_perf.add_argument("--quick", action="store_true",
                         help="small workloads (smoke test, not for BENCH_SIM.json)")
-    p_perf.add_argument("--repeat", type=int, default=3,
-                        help="runs per benchmark; best is kept")
-    p_perf.add_argument("--fail-below", type=float, default=None, metavar="RATIO",
-                        help="exit 1 if any benchmark falls below RATIO x the "
-                             "previous report (use ~0.6 to absorb CI noise)")
     p_perf.set_defaults(fn=_cmd_perf)
 
     p_trace = sub.add_parser(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 from repro.consensus.single import Ballot
 
@@ -175,9 +175,3 @@ class PaxosLog:
             if e is not None and e.chosen:
                 out.append((slot, e.accepted_value))
         return out
-
-    def iter_chosen(self) -> Iterator[tuple[int, Any]]:
-        for slot in sorted(self._entries):
-            e = self._entries[slot]
-            if e.chosen:
-                yield slot, e.accepted_value

@@ -131,9 +131,6 @@ class ScatterSystem:
             )
         )
 
-    def all_alive_ids(self) -> list[str]:
-        return sorted(name for name, node in self.nodes.items() if node.alive)
-
     # ------------------------------------------------------------------
     # Observation (harness-side; not part of the protocol)
     # ------------------------------------------------------------------

@@ -99,10 +99,6 @@ class FaultTarget:
         node = self.nodes.get(node_id)
         return getattr(node, "disk", None)
 
-    def disk_ids(self) -> list[str]:
-        """Nodes that actually have a simulated disk."""
-        return sorted(n for n in self.nodes if self.disk(n) is not None)
-
     def set_disk_io_error(self, node_id: str, failing: bool) -> bool:
         """Toggle the IO-error flag: appends/fsyncs/snapshots fail silently."""
         disk = self.disk(node_id)

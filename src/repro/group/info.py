@@ -30,10 +30,6 @@ class GroupInfo:
         """Copy of this info owning ``new_range`` (other fields kept)."""
         return replace(self, range=new_range)
 
-    def with_leader(self, leader: str) -> "GroupInfo":
-        """Copy of this info with a fresher leader hint."""
-        return replace(self, leader_hint=leader)
-
 
 @dataclass
 class GroupGenesis:

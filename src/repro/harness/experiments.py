@@ -448,7 +448,7 @@ def run_e06(quick: bool = True, seed: int = 6) -> ExperimentResult:
     )
     # Full mode reaches 240 nodes / 80 groups — the regime the paper's
     # scalability claim is about, made tractable by the simulator
-    # hot-path optimizations (see repro.perf / BENCH_SIM.json).
+    # hot-path optimizations (DESIGN.md, "Simulator performance model").
     sizes = [12, 24, 48] if quick else [12, 24, 48, 96, 192, 240]
     duration = 30.0 if quick else 60.0
     total_events = 0

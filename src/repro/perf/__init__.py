@@ -3,30 +3,28 @@
 The simulator's speed is what bounds every experiment's scale, so it is
 measured like any other system property:
 
-- :mod:`repro.perf.microbench` — microbenchmarks for raw event
-  throughput, network send/deliver, and end-to-end ops/sec, plus the
-  ``BENCH_SIM.json`` emitter that tracks the trajectory across PRs.
+- :mod:`repro.perf.microbench` — microbenchmarks that report only
+  ratios of two timings taken in the same run and exact counts, the
+  ``GATES`` that bound them (``python -m repro perf``), and the
+  ``BENCH_SIM.json`` emitter.
 - :mod:`repro.perf.profile` — run any experiment under ``cProfile`` and
   report the hot frames (``python -m repro profile E6``).
 
-Unlike everything else in this repository, these numbers are *not*
-deterministic — they measure the host.  The microbenchmarks fix seeds so
-the simulated work is identical run to run; only the wall-clock varies.
+The microbenchmarks fix seeds so the simulated work is identical run to
+run; a timing ratio still moves a little with the host, a count does not.
 """
 
 from repro.perf.microbench import (
-    BENCH_FILENAME,
-    compare_benchmarks,
-    load_bench_file,
+    GATES,
+    check_gates,
     run_microbenchmarks,
     write_bench_file,
 )
 from repro.perf.profile import profile_experiment
 
 __all__ = [
-    "BENCH_FILENAME",
-    "compare_benchmarks",
-    "load_bench_file",
+    "GATES",
+    "check_gates",
     "profile_experiment",
     "run_microbenchmarks",
     "write_bench_file",

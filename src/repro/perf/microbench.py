@@ -1,160 +1,32 @@
-"""Microbenchmarks for the simulation core's wall-clock throughput.
+"""Microbenchmarks for the simulation core, gated on numbers that hold on
+any host.
 
-Each benchmark runs a fixed, seeded simulated workload and reports how
-fast the host chewed through it.  The simulated work is bit-identical
-between runs and between machines; only the wall-clock differs.  Every
-metric is "bigger is better" (events, messages, or operations per
-wall-clock second).
+Each benchmark runs a fixed, seeded workload and returns its numbers as
+a dict: either a ratio of two timings taken in the same run (the two
+sides of an A/B) or an exact count.
+Neither moves with the host's speed, so each can carry a bound.  The
+bounds live in one place, :data:`GATES`, which ``repro perf`` evaluates
+itself: it prints every gate's verdict and exits 1 if any fails.
 
-The suite is the source of ``BENCH_SIM.json``, committed at the repo
-root so the perf trajectory is reviewable across PRs and regressions
-are a one-command check (``scripts/check_perf.sh``).
+The report is written to ``BENCH_SIM.json`` at the repo root by
+``scripts/check_perf.sh``, so a change to a ratio or a count shows up
+as a diff for review.  Host cost per whole op is measured end to end
+by the perf ledger (``host_us_per_op``), not here.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import operator
 import platform
 import time
 import tracemalloc
 from typing import Any, Callable
 
-from repro.sim.latency import ConstantLatency, LogNormalLatency
+from repro.sim.latency import ConstantLatency
 from repro.sim.loop import Simulator
 from repro.sim.network import SimNetwork
-
-BENCH_FILENAME = "BENCH_SIM.json"
-
-# Regressions smaller than this ratio are treated as wall-clock noise by
-# compare_benchmarks callers (shared CI boxes jitter easily by 20-30%).
-DEFAULT_TOLERANCE = 0.6
-
-
-# ---------------------------------------------------------------------------
-# Individual benchmarks.  Each returns work-units completed; the runner
-# divides by wall time.
-# ---------------------------------------------------------------------------
-def _bench_event_throughput(n: int) -> Callable[[], int]:
-    """Raw event loop: one self-rescheduling tick, fire-and-forget path."""
-
-    def run() -> int:
-        sim = Simulator(seed=1)
-        count = [0]
-        fire = sim.schedule_fire
-        def tick() -> None:
-            count[0] += 1
-            if count[0] < n:
-                fire(0.001, tick)
-        fire(0.0, tick)
-        sim.run()
-        return count[0]
-
-    return run
-
-
-def _bench_event_throughput_handles(n: int) -> Callable[[], int]:
-    """Handle-based scheduling with a cancellation on every other event —
-    exercises EventHandle allocation plus lazy deletion."""
-
-    def run() -> int:
-        sim = Simulator(seed=1)
-        count = [0]
-        def tick() -> None:
-            count[0] += 1
-            if count[0] < n:
-                sim.schedule(0.001, tick)
-                sim.schedule(0.002, tick).cancel()
-        sim.schedule(0.0, tick)
-        sim.run()
-        return count[0]
-
-    return run
-
-
-def _bench_net_send_deliver(n: int) -> Callable[[], int]:
-    """Two endpoints ping-pong over a fault-free network (fast path)."""
-
-    def run() -> int:
-        sim = Simulator(seed=1)
-        net = SimNetwork(sim, latency=ConstantLatency(0.001))
-        got = [0]
-        def pong(src: str, msg: Any) -> None:
-            got[0] += 1
-            if got[0] < n:
-                net.send("b", "a", msg)
-        def ping(src: str, msg: Any) -> None:
-            got[0] += 1
-            if got[0] < n:
-                net.send("a", "b", msg)
-        net.register("a", ping)
-        net.register("b", pong)
-        net.send("a", "b", "ping")
-        sim.run()
-        return got[0]
-
-    return run
-
-
-def _bench_net_send_deliver_faulty(n: int) -> Callable[[], int]:
-    """Same ping-pong with drop/dup/slowdown active (slow path)."""
-
-    def run() -> int:
-        sim = Simulator(seed=1)
-        net = SimNetwork(sim, latency=ConstantLatency(0.001), drop_prob=0.01, dup_prob=0.01)
-        net.set_link_slowdown("c", "d", 4.0)  # unrelated link; keeps slow path on
-        got = [0]
-        def pong(src: str, msg: Any) -> None:
-            got[0] += 1
-            if got[0] < n:
-                net.send("b", "a", msg)
-        def ping(src: str, msg: Any) -> None:
-            got[0] += 1
-            if got[0] < n:
-                net.send("a", "b", msg)
-        net.register("a", ping)
-        net.register("b", pong)
-        def kick() -> None:
-            # Drops kill the ping-pong chain; restart it until done.
-            if got[0] < n:
-                net.send("a", "b", "ping")
-                sim.schedule_fire(0.5, kick)
-        kick()
-        sim.run()
-        return got[0]
-
-    return run
-
-
-def _bench_e2e_ops(duration: float) -> Callable[[], int]:
-    """End-to-end: a small Scatter deployment under closed-loop load.
-
-    Returns simulator events processed (the unit the optimizations
-    target); the ops count is reported via the ``extra`` hook.
-    """
-
-    def run() -> int:
-        # Imported lazily: the harness pulls in the whole stack and the
-        # event/net benches should not pay for that.
-        from repro.harness.builders import DeploymentParams, build_scatter_deployment
-        from repro.workloads import UniformKeys
-        from repro.workloads.driver import ClosedLoopWorkload
-
-        params = DeploymentParams(
-            n_nodes=12, n_groups=4, n_clients=2, seed=1,
-            latency=LogNormalLatency(0.004, 0.4),
-        )
-        deployment = build_scatter_deployment(params)
-        workload = ClosedLoopWorkload(
-            deployment.sim, deployment.clients, UniformKeys(64), read_fraction=0.5
-        )
-        workload.start()
-        deployment.sim.run_for(duration)
-        workload.stop()
-        run.ops = len(workload.all_records())  # type: ignore[attr-defined]
-        return deployment.sim.events_processed
-
-    return run
 
 
 def cyclic_garbage(duration: float) -> tuple[int, int]:
@@ -189,30 +61,22 @@ def cyclic_garbage(duration: float) -> tuple[int, int]:
     return unreachable, len(workload.all_records()) - before
 
 
-def _bench_cyclic_garbage_per_op(duration: float) -> Callable[[], int]:
+def _bench_cyclic_garbage_per_op(duration: float) -> dict:
     """Work left for the cyclic collector per client op, as a count.
 
-    ``scripts/check_perf.sh`` holds ``cyclic_garbage_per_op`` at exactly
-    0: a finished op is freed by reference count (``spawn``'s process
-    object), so the collector has nothing to find in the steady state.
-    The value is ops per host second over the same window.
+    ``GATES`` holds ``cyclic_garbage_per_op`` at exactly 0: a finished
+    op is freed by reference count (``spawn``'s process object), so the
+    collector has nothing to find in the steady state.
     """
-
-    def run() -> int:
-        t0 = time.perf_counter()
-        unreachable, ops = cyclic_garbage(duration)
-        run.self_timed = (ops, time.perf_counter() - t0)  # type: ignore[attr-defined]
-        run.extra = {  # type: ignore[attr-defined]
-            "cyclic_garbage_per_op": round(unreachable / max(1, ops), 3),
-            "unreachable_objects": unreachable,
-        }
-        return ops
-
-    return run
+    unreachable, ops = cyclic_garbage(duration)
+    return {
+        "cyclic_garbage_per_op": round(unreachable / max(1, ops), 3),
+        "unreachable_objects": unreachable,
+    }
 
 
 # Ceiling on node_footprint's tracked_objects_per_node, held by
-# scripts/check_perf.sh and tests/test_gc_pacing.py: 46.0 measured on
+# GATES and tests/test_gc_pacing.py: 46.0 measured on
 # CPython 3.11, plus 10%.
 NODE_FOOTPRINT_CEILING = 50.6
 
@@ -255,28 +119,9 @@ def node_footprint(n_nodes: int = 300, duration: float = 3.0) -> tuple[Any, dict
     }
 
 
-def _bench_node_footprint() -> Callable[[], int]:
-    """What an idle node holds, as counts (see :func:`node_footprint`).
-
-    ``scripts/check_perf.sh`` holds ``tracked_objects_per_node`` at or
-    under ``NODE_FOOTPRINT_CEILING``, as ``tests/test_gc_pacing.py``
-    does.  The value is nodes built per host second, tracemalloc on.
-    """
-
-    def run() -> int:
-        t0 = time.perf_counter()
-        deployment, counts = node_footprint()
-        n_nodes = len(deployment.system.nodes)
-        run.self_timed = (n_nodes, time.perf_counter() - t0)  # type: ignore[attr-defined]
-        run.extra = counts  # type: ignore[attr-defined]
-        return n_nodes
-
-    return run
-
-
 # Ceiling on op_footprint's tracked_objects_per_op at either read
-# fraction, held by scripts/check_perf.sh and tests/test_gc_pacing.py:
-# 2.185 (read fraction 0.5; 1.926 at 0.1) measured on CPython 3.11,
+# fraction, held by GATES and tests/test_gc_pacing.py:
+# 2.186 (read fraction 0.5; 1.927 at 0.1) measured on CPython 3.11,
 # plus 10%.
 OP_FOOTPRINT_CEILING = 2.40
 OP_FOOTPRINT_READ_FRACTIONS = (0.5, 0.1)
@@ -328,107 +173,98 @@ def op_footprint(read_fraction: float, duration: float = 20.0) -> tuple[Any, dic
     }
 
 
-def _bench_op_footprint() -> Callable[[], int]:
+def _bench_op_footprint() -> dict:
     """What a finished op keeps, as counts (see :func:`op_footprint`).
 
     One entry per read fraction in ``OP_FOOTPRINT_READ_FRACTIONS``,
-    suffixed ``_r50`` and ``_r10``; ``scripts/check_perf.sh`` holds
-    each ``tracked_objects_per_op`` at or under ``OP_FOOTPRINT_CEILING``,
-    as ``tests/test_gc_pacing.py`` does.  The value is ops per host
-    second, tracemalloc on.
+    suffixed ``_r50`` and ``_r10``; ``GATES`` holds each
+    ``tracked_objects_per_op`` at or under ``OP_FOOTPRINT_CEILING``, as
+    ``tests/test_gc_pacing.py`` does.
     """
-
-    def run() -> int:
-        t0 = time.perf_counter()
-        extra: dict = {}
-        total = 0
-        for fraction in OP_FOOTPRINT_READ_FRACTIONS:
-            _, counts = op_footprint(fraction)
-            total += counts.pop("ops")
-            suffix = f"_r{round(fraction * 100)}"
-            extra.update({name + suffix: value for name, value in counts.items()})
-        run.self_timed = (total, time.perf_counter() - t0)  # type: ignore[attr-defined]
-        run.extra = extra  # type: ignore[attr-defined]
-        return total
-
-    return run
+    numbers: dict = {}
+    for fraction in OP_FOOTPRINT_READ_FRACTIONS:
+        _, counts = op_footprint(fraction)
+        del counts["ops"]
+        suffix = f"_r{round(fraction * 100)}"
+        numbers.update({name + suffix: value for name, value in counts.items()})
+    return numbers
 
 
-def _bench_ring_lookup(n_lookups: int, n_groups: int) -> Callable[[], int]:
+def _slowdown(base: Callable[[], float], other: Callable[[], float]) -> float:
+    """``other``'s wall time over ``base``'s, each the best of five trials
+    with the two sides alternated.  A trial is a fraction of a second or
+    less, so one collector pause or a slow phase of a shared host can
+    swing it; the minimum drops those, and five trials let each side
+    reach its floor even in a process that has just started.
+    """
+    trials = [(base(), other()) for _ in range(5)]
+    return min(o for _, o in trials) / min(b for b, _ in trials)
+
+
+def _bench_ring_lookup(n_lookups: int, n_groups: int) -> dict:
     """Routing-table lookups on a large ring: RingTable bisect vs a
     linear containment scan over the same infos.
 
     A ``n_groups``-arc tiled ring stands in for a ~10k-node deployment
-    (3 members per group).  The reported value is the table path; the
-    linear baseline (scaled down — it is hundreds of times slower) and
-    the speedup land in the report via the ``extra`` hook.  The two
-    paths are cross-checked for identical picks on a key sample: the
-    scan is the rule the client's table must answer.
+    (3 members per group).  The linear side is scaled down (it is
+    hundreds of times slower); the speedup compares per-lookup costs.
+    The two paths are cross-checked for identical picks on a key
+    sample: the scan is the rule the client's table must answer.
     """
+    import random as _random
 
-    def run() -> int:
-        import random as _random
+    from repro.dht.ring import KEY_SPACE, KeyRange, ring_distance
+    from repro.dht.route import RingTable
+    from repro.group.info import GroupInfo
 
-        from repro.dht.ring import KEY_SPACE, KeyRange, ring_distance
-        from repro.dht.route import RingTable
-        from repro.group.info import GroupInfo
+    bounds = [(i * KEY_SPACE) // n_groups for i in range(n_groups)]
+    infos = [
+        GroupInfo(
+            gid=f"g{i:05d}",
+            range=KeyRange(bounds[i], bounds[(i + 1) % n_groups]),
+            members=(f"n{3 * i}", f"n{3 * i + 1}", f"n{3 * i + 2}"),
+            leader_hint=f"n{3 * i}",
+        )
+        for i in range(n_groups)
+    ]
+    rng = _random.Random(1)
+    keys = [rng.randrange(KEY_SPACE) for _ in range(n_lookups)]
 
-        bounds = [(i * KEY_SPACE) // n_groups for i in range(n_groups)]
-        infos = [
-            GroupInfo(
-                gid=f"g{i:05d}",
-                range=KeyRange(bounds[i], bounds[(i + 1) % n_groups]),
-                members=(f"n{3 * i}", f"n{3 * i + 1}", f"n{3 * i + 2}"),
-                leader_hint=f"n{3 * i}",
-            )
-            for i in range(n_groups)
-        ]
-        rng = _random.Random(1)
-        keys = [rng.randrange(KEY_SPACE) for _ in range(n_lookups)]
+    def linear_best(key: int) -> GroupInfo:
+        # The routing rule RingTable precomputes.
+        containing = [g for g in infos if g.range.contains(key)]
+        if containing:
+            return containing[0]
+        return min(infos, key=lambda g: ring_distance(g.range.lo, key))
 
-        def linear_best(key: int) -> GroupInfo:
-            # The routing rule RingTable precomputes.
-            containing = [g for g in infos if g.range.contains(key)]
-            if containing:
-                return containing[0]
-            return min(infos, key=lambda g: ring_distance(g.range.lo, key))
+    table = RingTable(infos)
+    for key in keys[:200]:
+        assert table.lookup(key) is linear_best(key)
 
-        table = RingTable(infos)
-        for key in keys[:200]:
-            assert table.lookup(key) is linear_best(key)
+    t0 = time.perf_counter()
+    lookup = table.lookup
+    for key in keys:
+        lookup(key)
+    table_wall = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        lookup = table.lookup
-        for key in keys:
-            lookup(key)
-        table_wall = time.perf_counter() - t0
+    n_linear = max(200, n_lookups // 200)
+    t0 = time.perf_counter()
+    for key in keys[:n_linear]:
+        linear_best(key)
+    linear_wall = time.perf_counter() - t0
 
-        n_linear = max(200, n_lookups // 200)
-        t0 = time.perf_counter()
-        for key in keys[:n_linear]:
-            linear_best(key)
-        linear_wall = time.perf_counter() - t0
-
-        table_rate = n_lookups / table_wall if table_wall > 0 else 0.0
-        linear_rate = n_linear / linear_wall if linear_wall > 0 else 0.0
-        run.self_timed = (n_lookups, table_wall)  # type: ignore[attr-defined]
-        run.extra = {  # type: ignore[attr-defined]
-            "groups": n_groups,
-            "linear_lookups_per_s": round(linear_rate, 1),
-            "speedup_vs_linear": round(table_rate / linear_rate, 2) if linear_rate else None,
-        }
-        return n_lookups
-
-    return run
+    return {
+        "groups": n_groups,
+        "speedup_vs_linear": round(linear_wall / n_linear / (table_wall / n_lookups), 2),
+    }
 
 
-def _bench_pooled_send_deliver(n: int) -> Callable[[], int]:
+def _bench_pooled_send_deliver(n: int) -> dict:
     """The fault-free send->deliver path against the checked one, in one
-    process: the same ping-pong as ``net_send_deliver`` run with direct
-    dispatch and with every message forced through ``_deliver`` by a
-    one-way block between two addresses that never exchange traffic
-    (every check runs and passes).  The reported value is the direct
-    rate; the in-process A/B ratio lands in ``extra``.
+    process: two endpoints ping-pong ``n`` messages with direct dispatch
+    and with every message forced through ``_deliver`` by a one-way
+    block between two addresses that never exchange traffic (every
+    check runs and passes).
     """
 
     def one(checked: bool) -> float:
@@ -455,76 +291,17 @@ def _bench_pooled_send_deliver(n: int) -> Callable[[], int]:
         sim.run()
         return time.perf_counter() - t0
 
-    def run() -> int:
-        # Best of three with the sides alternated, so one collector
-        # pause or a host phase cannot swing the ratio.
-        trials = [(one(False), one(True)) for _ in range(3)]
-        direct_wall = min(direct for direct, _ in trials)
-        checked_wall = min(checked for _, checked in trials)
-        run.self_timed = (n, direct_wall)  # type: ignore[attr-defined]
-        run.extra = {  # type: ignore[attr-defined]
-            "checked_msgs_per_s": round(n / checked_wall, 1),
-            "speedup_vs_checked": round(checked_wall / direct_wall, 2),
-        }
-        return n
-
-    return run
+    return {"speedup_vs_checked": round(_slowdown(lambda: one(False), lambda: one(True)), 2)}
 
 
-def _bench_write_path(n: int) -> Callable[[], int]:
-    """Write-path saturation: a 3-replica Paxos group on storage with
-    the full throughput stack on (slot batching on the default
-    8-deep pipeline) chewing through ``n`` closed-pipe proposals at
-    concurrency 64.  Guards the hot path the write-path optimizations
-    touch; returns simulator events processed.
-    """
-
-    def run() -> int:
-        from repro.consensus.commands import Command
-        from repro.consensus.harness import build_cluster
-        from repro.consensus.replica import PaxosConfig
-        from repro.storage.disk import StorageConfig
-
-        sim = Simulator(seed=1)
-        net = SimNetwork(sim, latency=ConstantLatency(0.001))
-        config = PaxosConfig(
-            heartbeat_interval=0.1,
-            election_timeout=0.5,
-            lease_duration=0.35,
-            retry_interval=0.3,
-            batch_window=0.002,
-            batch_max=16,
-        )
-        hosts = build_cluster(sim, net, n=3, config=config, storage=StorageConfig())
-        sim.run_for(0.5)  # let the initial leader settle
-        leader = hosts[0]
-        issued = [0]
-        done = [0]
-
-        def pump(_future: Any = None) -> None:
-            done[0] += _future is not None
-            if issued[0] < n:
-                issued[0] += 1
-                leader.propose(Command.app(issued[0])).add_callback(pump)
-
-        for _ in range(64):
-            pump()
-        sim.run_for(120.0)
-        run.ops = done[0]  # type: ignore[attr-defined]
-        return sim.events_processed
-
-    return run
-
-
-def _bench_accepts_per_slot(n: int) -> Callable[[], int]:
+def _bench_accepts_per_slot(n: int) -> dict:
     """Network cost of phase 2 as a count: ``n`` proposals, one at a
     time, through a 3-replica and a 5-replica group, counting every
-    Accept-family message sent.  The per-slot counts land in ``extra``,
-    where ``scripts/check_perf.sh`` holds them at exactly 2·(n−1) — the
-    leader votes locally; the value is those messages per host second.
+    Accept-family message sent per chosen slot.  ``GATES`` holds them at
+    exactly 2·(n−1): the leader votes locally.
     """
 
-    def one(members: int) -> tuple[int, int]:
+    def one(members: int) -> float:
         from repro.consensus.commands import Command
         from repro.consensus.harness import build_cluster, record_sends
 
@@ -539,28 +316,17 @@ def _bench_accepts_per_slot(n: int) -> Callable[[], int]:
             sim.run_for(0.01)
             chosen += future.done and future.exception is None
         family = ("Accept", "Accepted")
-        return sum(kind in family for _src, _dst, kind in sent), chosen
+        return round(sum(kind in family for _src, _dst, kind in sent) / max(1, chosen), 3)
 
-    def run() -> int:
-        t0 = time.perf_counter()
-        (sent3, chosen3), (sent5, chosen5) = one(3), one(5)
-        run.self_timed = (sent3 + sent5, time.perf_counter() - t0)  # type: ignore[attr-defined]
-        run.extra = {  # type: ignore[attr-defined]
-            "msgs_per_slot_n3": round(sent3 / max(1, chosen3), 3),
-            "msgs_per_slot_n5": round(sent5 / max(1, chosen5), 3),
-        }
-        return sent3 + sent5
-
-    return run
+    return {"msgs_per_slot_n3": one(3), "msgs_per_slot_n5": one(5)}
 
 
-def _bench_wal_fsync_per_ack(n: int) -> Callable[[], int]:
+def _bench_wal_fsync_per_ack(n: int) -> dict:
     """Per-ack WAL cost against log length: ``n`` append + fsync pairs
     on a region already retaining 100 synced records and on one
     retaining 10,000, in one process.  An acceptor acks once per
-    Accept, so the pair must cost the same on both; the reported value
-    is the long-log rate and the cost ratio lands in ``extra``, where
-    ``scripts/check_perf.sh`` holds it under 2 whatever the host's speed.
+    Accept, so the pair must cost the same on both; ``GATES`` holds the
+    cost ratio at or under 2 whatever the host's speed.
     """
 
     def one(retained: int) -> float:
@@ -577,31 +343,16 @@ def _bench_wal_fsync_per_ack(n: int) -> Callable[[], int]:
             region.mark_synced(region.current_seq())
         return time.perf_counter() - t0
 
-    def run() -> int:
-        # Each side is a few milliseconds, so one collector pause would
-        # swing the ratio: best of three, sides alternated.
-        trials = [(one(100), one(10_000)) for _ in range(3)]
-        short_wall = min(short for short, _ in trials)
-        long_wall = min(long for _, long in trials)
-        run.self_timed = (n, long_wall)  # type: ignore[attr-defined]
-        run.extra = {  # type: ignore[attr-defined]
-            "us_per_pair_retaining_100": round(short_wall / n * 1e6, 3),
-            "us_per_pair_retaining_10k": round(long_wall / n * 1e6, 3),
-            "cost_ratio_10k_vs_100": round(long_wall / short_wall, 2) if short_wall else None,
-        }
-        return n
-
-    return run
+    return {"cost_ratio_10k_vs_100": round(_slowdown(lambda: one(100), lambda: one(10_000)), 2)}
 
 
-def _bench_follower_read_window(n: int) -> Callable[[], int]:
+def _bench_follower_read_window(n: int) -> dict:
     """Follower-read conflict check against log length: ``n`` checks of
     the same two-entry window (one accepted and one caught-up write,
     neither on the key read) on a follower whose log retains 10 applied
     entries and on one retaining 400, in one process.  The window is
     slots ``(applied_index, top]``, so the check must cost the same on
-    both; the reported value is the long-log rate and the cost ratio
-    lands in ``extra``, where ``scripts/check_perf.sh`` holds it under 2.
+    both; ``GATES`` holds the cost ratio under 2.
     """
 
     def one(retained: int) -> float:
@@ -631,178 +382,93 @@ def _bench_follower_read_window(n: int) -> Callable[[], int]:
             check("k")
         return time.perf_counter() - t0
 
-    def run() -> int:
-        trials = [(one(10), one(400)) for _ in range(3)]
-        short_wall = min(short for short, _ in trials)
-        long_wall = min(long for _, long in trials)
-        run.self_timed = (n, long_wall)  # type: ignore[attr-defined]
-        run.extra = {  # type: ignore[attr-defined]
-            "us_per_check_retaining_10": round(short_wall / n * 1e6, 3),
-            "us_per_check_retaining_400": round(long_wall / n * 1e6, 3),
-            "cost_ratio_400_vs_10": round(long_wall / short_wall, 2) if short_wall else None,
-        }
-        return n
-
-    return run
+    return {"cost_ratio_400_vs_10": round(_slowdown(lambda: one(10), lambda: one(400)), 2)}
 
 
 # ---------------------------------------------------------------------------
-# Runner
+# Gates and runner
 # ---------------------------------------------------------------------------
-def run_microbenchmarks(quick: bool = False, repeat: int = 3) -> dict:
+# Every bound on a reported number: (bench, key, comparison, bound).  A
+# gate whose number is missing from the report fails.
+GATES: tuple[tuple[str, str, str, float], ...] = (
+    # Direct dispatch beats the checked delivery path.
+    ("pooled_send_deliver", "speedup_vs_checked", ">=", 1.2),
+    # The bisect routing table beats the linear scan.
+    ("ring_lookup_10k", "speedup_vs_linear", ">=", 1.5),
+    # Per-ack WAL cost and a follower read's conflict check are flat in
+    # log length (a barrier scanning the whole log, or a sort of the
+    # retained log, measures several times that).
+    ("wal_fsync_per_ack", "cost_ratio_10k_vs_100", "<=", 2.0),
+    ("follower_read_window", "cost_ratio_400_vs_10", "<", 2.0),
+    # Exact counts, the same on every host.
+    ("accept_msgs_per_slot", "msgs_per_slot_n3", "==", 4.0),
+    ("accept_msgs_per_slot", "msgs_per_slot_n5", "==", 8.0),
+    ("cyclic_garbage_per_op", "cyclic_garbage_per_op", "==", 0),
+    ("node_footprint", "tracked_objects_per_node", "<=", NODE_FOOTPRINT_CEILING),
+    ("op_footprint", "tracked_objects_per_op_r50", "<=", OP_FOOTPRINT_CEILING),
+    ("op_footprint", "tracked_objects_per_op_r10", "<=", OP_FOOTPRINT_CEILING),
+)
+
+_COMPARISONS = {">=": operator.ge, "<=": operator.le, "<": operator.lt, "==": operator.eq}
+
+
+def run_microbenchmarks(quick: bool = False) -> dict:
     """Run the suite; return a JSON-ready report.
 
-    ``repeat`` runs each benchmark several times and keeps the best —
-    the standard defence against scheduler noise.  ``quick`` shrinks the
-    workloads for tests and smoke runs.
+    ``quick`` shrinks the workloads for tests and smoke runs.
     """
-    n_events = 30_000 if quick else 300_000
     n_msgs = 20_000 if quick else 200_000
-    e2e_duration = 5.0 if quick else 30.0
-    n_writes = 2_000 if quick else 20_000
     n_lookups = 20_000 if quick else 200_000
     n_lookup_groups = 334 if quick else 3_334  # ~1k / ~10k nodes at 3 members/group
     n_slots = 100 if quick else 500
     garbage_duration = 5.0 if quick else 20.0
 
-    specs: list[tuple[str, str, Callable[[], int]]] = [
-        ("event_throughput", "events_per_s", _bench_event_throughput(n_events)),
-        ("event_throughput_handles", "events_per_s", _bench_event_throughput_handles(n_events)),
-        ("net_send_deliver", "msgs_per_s", _bench_net_send_deliver(n_msgs)),
-        ("net_send_deliver_faulty", "msgs_per_s", _bench_net_send_deliver_faulty(n_msgs)),
-        ("pooled_send_deliver", "msgs_per_s", _bench_pooled_send_deliver(n_msgs)),
-        ("ring_lookup_10k", "lookups_per_s", _bench_ring_lookup(n_lookups, n_lookup_groups)),
-        ("e2e_scatter_ops", "events_per_s", _bench_e2e_ops(e2e_duration)),
-        ("write_path_saturation", "events_per_s", _bench_write_path(n_writes)),
-        ("wal_fsync_per_ack", "pairs_per_s", _bench_wal_fsync_per_ack(2_000)),
-        ("follower_read_window", "checks_per_s", _bench_follower_read_window(20_000)),
-        ("accept_msgs_per_slot", "msgs_per_s", _bench_accepts_per_slot(n_slots)),
-        ("cyclic_garbage_per_op", "ops_per_s", _bench_cyclic_garbage_per_op(garbage_duration)),
-        ("node_footprint", "nodes_per_s", _bench_node_footprint()),
-        ("op_footprint", "ops_per_s", _bench_op_footprint()),
-    ]
-
-    benchmarks = []
-    for name, metric, fn in specs:
-        best_rate = 0.0
-        best_units = 0
-        best_wall = 0.0
-        best_extra: dict | None = None
-        for _ in range(max(1, repeat)):
-            t0 = time.perf_counter()
-            units = fn()
-            wall = time.perf_counter() - t0
-            # Self-timing benchmarks measure only their targeted path
-            # (excluding setup or an in-process baseline) and report it
-            # via the ``self_timed`` hook.
-            timed = getattr(fn, "self_timed", None)
-            if timed is not None:
-                units, wall = timed
-            rate = units / wall if wall > 0 else 0.0
-            if rate > best_rate:
-                best_rate, best_units, best_wall = rate, units, wall
-                best_extra = getattr(fn, "extra", None)
-        entry = {
-            "name": name,
-            "metric": metric,
-            "value": round(best_rate, 1),
-            "units_completed": best_units,
-            "wall_s": round(best_wall, 4),
-        }
-        ops = getattr(fn, "ops", None)
-        if ops is not None:
-            entry["ops_completed"] = ops
-            entry["ops_per_s"] = round(ops / best_wall, 1) if best_wall > 0 else 0.0
-        if best_extra:
-            entry.update(best_extra)
-        benchmarks.append(entry)
-
+    numbers = {
+        "pooled_send_deliver": _bench_pooled_send_deliver(n_msgs),
+        "ring_lookup_10k": _bench_ring_lookup(n_lookups, n_lookup_groups),
+        "wal_fsync_per_ack": _bench_wal_fsync_per_ack(2_000),
+        "follower_read_window": _bench_follower_read_window(20_000),
+        "accept_msgs_per_slot": _bench_accepts_per_slot(n_slots),
+        "cyclic_garbage_per_op": _bench_cyclic_garbage_per_op(garbage_duration),
+        "node_footprint": node_footprint()[1],
+        "op_footprint": _bench_op_footprint(),
+    }
     return {
-        "schema": 1,
         "quick": quick,
-        "repeat": repeat,
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "benchmarks": benchmarks,
+        "benchmarks": [{"name": name, **values} for name, values in numbers.items()],
     }
 
 
-# ---------------------------------------------------------------------------
-# BENCH_SIM.json emit / compare
-# ---------------------------------------------------------------------------
+def check_gates(report: dict) -> list[tuple[bool, str]]:
+    """Each gate in ``GATES`` judged on ``report``: whether it holds, and
+    the gate with the number it read."""
+    by_name = {bench["name"]: bench for bench in report["benchmarks"]}
+    verdicts = []
+    for bench, key, comparison, bound in GATES:
+        got = by_name.get(bench, {}).get(key)
+        holds = got is not None and _COMPARISONS[comparison](got, bound)
+        verdicts.append((holds, f"{bench} {key} {got} {comparison} {bound}"))
+    return verdicts
+
+
 def write_bench_file(report: dict, path: str) -> None:
     with open(path, "w") as f:
         json.dump(report, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
-def load_bench_file(path: str) -> dict:
-    with open(path) as f:
-        return json.load(f)
-
-
-def compare_benchmarks(old: dict, new: dict) -> list[dict]:
-    """Per-benchmark ratio of new/old throughput (by matching name).
-
-    Returns one row per benchmark present in ``new``; ``ratio`` is None
-    when the old report lacks that benchmark (or measured a different
-    workload size, which would make the ratio meaningless to threshold).
-    """
-    old_by_name = {b["name"]: b for b in old.get("benchmarks", [])}
-    comparable = old.get("quick") == new.get("quick")
-    rows = []
-    for bench in new.get("benchmarks", []):
-        prev = old_by_name.get(bench["name"])
-        ratio = None
-        if prev and comparable and prev.get("value"):
-            ratio = bench["value"] / prev["value"]
-        rows.append(
-            {
-                "name": bench["name"],
-                "metric": bench["metric"],
-                "old": prev.get("value") if prev else None,
-                "new": bench["value"],
-                "ratio": round(ratio, 3) if ratio is not None else None,
-            }
-        )
-    return rows
-
-
-def attach_baseline(report: dict, baseline: dict) -> None:
-    """Embed a fixed reference measurement and per-benchmark speedups.
-
-    ``baseline`` holds ``values`` (name -> throughput) measured once on
-    some reference revision — e.g. the pre-optimization event loop — and
-    a ``description`` saying what that revision was.  It is carried
-    forward verbatim by ``repro perf --json`` so the speedup column
-    survives report rewrites.  Speedups are only attached when the
-    workloads match (same ``quick`` flag).
-    """
-    report["pre_pr_baseline"] = baseline
-    if baseline.get("quick") != report.get("quick"):
-        return
-    values = baseline.get("values", {})
-    for bench in report["benchmarks"]:
-        ref = values.get(bench["name"])
-        if ref:
-            bench["speedup_vs_pre_pr"] = round(bench["value"] / ref, 2)
-
-
-def render_report(report: dict, comparison: list[dict] | None = None) -> str:
-    """Human-readable table of a report, optionally with old/new ratios."""
+def render_report(report: dict) -> str:
+    """Human-readable table of a report's numbers and its gates' verdicts."""
     lines = [
         f"simulator microbenchmarks  (python {report['python']}, "
-        f"{'quick' if report['quick'] else 'full'} workloads, best of {report['repeat']})"
+        f"{'quick' if report['quick'] else 'full'} workloads)"
     ]
-    ratio_by_name = {c["name"]: c for c in comparison or []}
     for bench in report["benchmarks"]:
-        line = f"  {bench['name']:<26} {bench['value']:>12,.0f} {bench['metric']}"
-        if "ops_per_s" in bench:
-            line += f"  ({bench['ops_per_s']:,.0f} ops/s)"
-        if "speedup_vs_pre_pr" in bench:
-            line += f"  [{bench['speedup_vs_pre_pr']:.2f}x vs pre-PR]"
-        cmp_row = ratio_by_name.get(bench["name"])
-        if cmp_row and cmp_row["ratio"] is not None:
-            line += f"  [{cmp_row['ratio']:.2f}x vs previous]"
-        lines.append(line)
+        numbers = "  ".join(f"{key}={value}" for key, value in bench.items() if key != "name")
+        lines.append(f"  {bench['name']:<22} {numbers}")
+    lines.append("gates")
+    for holds, gate in check_gates(report):
+        lines.append(f"  {'ok  ' if holds else 'FAIL'}  {gate}")
     return "\n".join(lines)

@@ -8,7 +8,7 @@ Heap entries are plain lists ``[time, seq, fn, args]`` rather than
 objects: list comparison orders by (time, seq), and because ``seq`` is
 unique the comparison never reaches the non-orderable ``fn`` slot.  This
 shaves an allocation plus attribute dispatch off every scheduled event —
-the hottest path in the whole simulator (see ``repro.perf``).
+the hottest path in the whole simulator.
 
 Cancellation is lazy: cancelling (or popping) an entry nulls its ``fn``
 slot in place and the heap skips such entries when they surface.  A

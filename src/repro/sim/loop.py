@@ -86,9 +86,9 @@ class Simulator:
 
     The run loops (:meth:`run`, :meth:`run_until`) operate directly on
     the event heap with no per-event method call — at millions of events
-    per run that overhead is the dominant cost, and the ``repro.perf``
-    microbenchmarks track exactly this.  :meth:`step` is ``run`` capped
-    at one event.
+    per run that overhead is the dominant cost, and the perf ledger's
+    ``sim.loop.iso_ns_per_event`` tracks exactly this.  :meth:`step` is
+    ``run`` capped at one event.
     """
 
     def __init__(self, seed: int = 0) -> None:

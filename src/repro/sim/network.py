@@ -222,9 +222,6 @@ class SimNetwork:
         self._down.discard(address)
         self._refresh_fast_path()
 
-    def is_up(self, address: str) -> bool:
-        return address in self._handlers and address not in self._down
-
     def addresses(self) -> list[str]:
         return sorted(self._handlers)
 
@@ -279,9 +276,6 @@ class SimNetwork:
         self._blocked_pairs.clear()
         self._refresh_fast_path()
 
-    def is_blocked(self, src: str, dst: str) -> bool:
-        return (src, dst) in self._blocked_pairs
-
     # ------------------------------------------------------------------
     # Gray failure: per-link latency degradation
     # ------------------------------------------------------------------
@@ -310,9 +304,6 @@ class SimNetwork:
     def clear_slowdowns(self) -> None:
         self._slowdowns.clear()
         self._refresh_fast_path()
-
-    def link_slowdown(self, src: str, dst: str) -> float:
-        return self._slowdowns.get((src, dst), 1.0)
 
     # ------------------------------------------------------------------
     # Sending

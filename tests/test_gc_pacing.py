@@ -95,10 +95,10 @@ def test_finished_op_footprint_is_a_count(read_fraction):
     """A finished op holds at most ``OP_FOOTPRINT_CEILING`` tracked objects.
 
     The ring is ``op_footprint``'s: 30 nodes in 10 groups, 8 clients,
-    a 20 simulated-second window.  Measured at 2.185 collector-tracked
-    objects per op at read fraction 0.5 and 1.926 at 0.1 on CPython
+    a 20 simulated-second window.  Measured at 2.186 collector-tracked
+    objects per op at read fraction 0.5 and 1.927 at 0.1 on CPython
     3.11 (3.887 and 4.536 while every get, miss and write ack was a
-    fresh result), so the ceiling is 2.185 plus 10%, 2.40.  What is
+    fresh result), so the ceiling is 2.186 plus 10%, 2.40.  What is
     left is the op's ``OpRecord`` and its share of the uncompacted log.
     """
     _, counts = op_footprint(read_fraction)

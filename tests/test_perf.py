@@ -1,14 +1,14 @@
-"""Tests for the repro.perf subsystem (microbenchmarks, profile, emitter)."""
+"""Tests for the repro.perf subsystem (microbenchmarks, gates, profile, emitter)."""
 
 import json
 
 import pytest
 
 from repro.cli import main
+from repro.perf import microbench
 from repro.perf.microbench import (
-    attach_baseline,
-    compare_benchmarks,
-    load_bench_file,
+    GATES,
+    check_gates,
     render_report,
     run_microbenchmarks,
     write_bench_file,
@@ -16,14 +16,8 @@ from repro.perf.microbench import (
 from repro.perf.profile import profile_experiment
 
 BENCH_NAMES = {
-    "event_throughput",
-    "event_throughput_handles",
-    "net_send_deliver",
-    "net_send_deliver_faulty",
     "pooled_send_deliver",
     "ring_lookup_10k",
-    "e2e_scatter_ops",
-    "write_path_saturation",
     "wal_fsync_per_ack",
     "follower_read_window",
     "accept_msgs_per_slot",
@@ -35,32 +29,30 @@ BENCH_NAMES = {
 
 @pytest.fixture(scope="module")
 def quick_report():
-    return run_microbenchmarks(quick=True, repeat=1)
+    return run_microbenchmarks(quick=True)
+
+
+def test_every_gate_reads_a_reported_number(quick_report):
+    by_name = {b["name"]: b for b in quick_report["benchmarks"]}
+    for bench, key, *_ in GATES:
+        assert isinstance(by_name[bench][key], (int, float)), (bench, key)
 
 
 class TestMicrobenchmarks:
     def test_all_benchmarks_present_and_positive(self, quick_report):
         by_name = {b["name"]: b for b in quick_report["benchmarks"]}
-        assert set(by_name) == BENCH_NAMES
+        # Every bench is present, and is there because a gate reads it.
+        assert set(by_name) == BENCH_NAMES == {gate[0] for gate in GATES}
         for bench in by_name.values():
-            assert bench["value"] > 0
-            assert bench["wall_s"] > 0
-            assert bench["units_completed"] > 0
-            assert bench["metric"] in (
-                "events_per_s", "msgs_per_s", "lookups_per_s", "pairs_per_s", "ops_per_s",
-                "checks_per_s", "rounds_per_s", "nodes_per_s",
-            )
-
-    def test_e2e_reports_ops(self, quick_report):
-        e2e = next(b for b in quick_report["benchmarks"] if b["name"] == "e2e_scatter_ops")
-        assert e2e["ops_completed"] > 0
-        assert e2e["ops_per_s"] > 0
+            numbers = [value for key, value in bench.items() if key != "name"]
+            assert numbers and all(value >= 0 for value in numbers)
+            # Ratios and counts only: no rate, wall time or unit count.
+            assert not {"value", "metric", "units_completed", "wall_s", "ops_per_s"} & set(bench)
 
     def test_scaleout_benches_record_ab_ratios(self, quick_report):
         """The scale-out benches time both sides of their A/B in one run."""
         by_name = {b["name"]: b for b in quick_report["benchmarks"]}
         assert by_name["pooled_send_deliver"]["speedup_vs_checked"] > 1.0
-        assert by_name["pooled_send_deliver"]["checked_msgs_per_s"] > 0
         assert by_name["ring_lookup_10k"]["speedup_vs_linear"] > 1.5
         assert by_name["ring_lookup_10k"]["groups"] > 0
         # Per-ack WAL cost is flat in log length; a barrier that scans
@@ -74,52 +66,15 @@ class TestMicrobenchmarks:
         text = render_report(quick_report)
         for name in BENCH_NAMES:
             assert name in text
+        for _holds, gate in check_gates(quick_report):
+            assert gate in text
 
 
 class TestBenchFile:
     def test_write_load_roundtrip(self, quick_report, tmp_path):
         path = tmp_path / "BENCH_SIM.json"
         write_bench_file(quick_report, str(path))
-        assert load_bench_file(str(path)) == json.loads(json.dumps(quick_report))
-
-    def test_compare_benchmarks_ratio(self, quick_report):
-        old = json.loads(json.dumps(quick_report))
-        for bench in old["benchmarks"]:
-            bench["value"] = bench["value"] / 2
-        rows = compare_benchmarks(old, quick_report)
-        assert {r["name"] for r in rows} == BENCH_NAMES
-        for row in rows:
-            assert row["ratio"] == pytest.approx(2.0, rel=0.01)
-
-    def test_compare_skips_mismatched_workloads(self, quick_report):
-        old = json.loads(json.dumps(quick_report))
-        old["quick"] = not old["quick"]
-        rows = compare_benchmarks(old, quick_report)
-        assert all(r["ratio"] is None for r in rows)
-
-    def test_compare_handles_missing_benchmark(self, quick_report):
-        old = json.loads(json.dumps(quick_report))
-        old["benchmarks"] = [b for b in old["benchmarks"] if b["name"] != "event_throughput"]
-        rows = compare_benchmarks(old, quick_report)
-        by_name = {r["name"]: r for r in rows}
-        assert by_name["event_throughput"]["ratio"] is None
-        assert by_name["event_throughput"]["old"] is None
-
-    def test_attach_baseline_speedups(self, quick_report):
-        report = json.loads(json.dumps(quick_report))
-        half = {b["name"]: b["value"] / 2 for b in report["benchmarks"]}
-        attach_baseline(report, {"description": "test", "quick": True, "values": half})
-        for bench in report["benchmarks"]:
-            assert bench["speedup_vs_pre_pr"] == pytest.approx(2.0, rel=0.01)
-        assert report["pre_pr_baseline"]["description"] == "test"
-
-    def test_attach_baseline_skips_mismatched_workloads(self, quick_report):
-        report = json.loads(json.dumps(quick_report))
-        half = {b["name"]: b["value"] / 2 for b in report["benchmarks"]}
-        attach_baseline(report, {"description": "test", "quick": False, "values": half})
-        assert all("speedup_vs_pre_pr" not in b for b in report["benchmarks"])
-        # The reference still rides along for later full-workload runs.
-        assert "pre_pr_baseline" in report
+        assert json.loads(path.read_text()) == json.loads(json.dumps(quick_report))
 
 
 class TestProfile:
@@ -139,35 +94,31 @@ class TestProfile:
 
 
 class TestPerfCli:
-    def test_perf_writes_json(self, tmp_path, capsys):
-        path = tmp_path / "bench.json"
-        assert main(["perf", "--quick", "--repeat", "1", "--json", str(path)]) == 0
-        report = load_bench_file(str(path))
-        assert {b["name"] for b in report["benchmarks"]} == BENCH_NAMES
-        assert "event_throughput" in capsys.readouterr().out
-
-    def test_perf_fail_below_flags_regression(self, tmp_path):
-        path = tmp_path / "bench.json"
-        report = run_microbenchmarks(quick=True, repeat=1)
-        for bench in report["benchmarks"]:
-            bench["value"] = bench["value"] * 1000  # impossible bar
-        write_bench_file(report, str(path))
-        rc = main(["perf", "--quick", "--repeat", "1",
-                   "--json", str(path), "--fail-below", "0.6"])
-        assert rc == 1
-
-    def test_perf_carries_baseline_forward(self, tmp_path):
-        path = tmp_path / "bench.json"
-        report = run_microbenchmarks(quick=True, repeat=1)
-        attach_baseline(
-            report,
-            {"description": "ref", "quick": True,
-             "values": {b["name"]: b["value"] for b in report["benchmarks"]}},
+    @pytest.fixture
+    def quick_suite(self, monkeypatch, quick_report):
+        """``repro perf --quick`` answers with the module's quick report."""
+        monkeypatch.setattr(
+            microbench, "run_microbenchmarks", lambda quick: quick_report if quick else None
         )
-        write_bench_file(report, str(path))
-        assert main(["perf", "--quick", "--repeat", "1", "--json", str(path)]) == 0
-        rewritten = load_bench_file(str(path))
-        assert rewritten["pre_pr_baseline"]["description"] == "ref"
+        return quick_report
+
+    def test_perf_writes_json(self, tmp_path, capsys, quick_suite):
+        path = tmp_path / "bench.json"
+        rc = main(["perf", "--quick", "--json", str(path)])
+        report = json.loads(path.read_text())
+        assert {b["name"] for b in report["benchmarks"]} == BENCH_NAMES
+        # Exit 1 exactly when a gate fails.
+        assert rc == (0 if all(holds for holds, _ in check_gates(report)) else 1)
+        assert "pooled_send_deliver" in capsys.readouterr().out
+
+    def test_perf_fail_below_flags_regression(self, monkeypatch, capsys, quick_suite):
+        """A gate the report cannot pass fails ``repro perf``, named on stderr."""
+        planted = ("node_footprint", "tracked_objects_per_node", "<=", 1.0)
+        monkeypatch.setattr(microbench, "GATES", GATES + (planted,))
+        assert main(["perf", "--quick"]) == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("perf gate failed: node_footprint tracked_objects_per_node")
+        assert last.endswith("<= 1.0")
 
     def test_profile_cli(self, capsys):
         assert main(["profile", "E7", "--top", "5"]) == 0
